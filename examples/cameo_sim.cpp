@@ -264,6 +264,18 @@ main(int argc, char **argv)
     if (!cli.errors().empty())
         return EXIT_FAILURE;
 
+    // Reject a design point no organization can be built from before
+    // anything runs.
+    std::vector<OrgKind> to_build = {kind};
+    if (want_baseline)
+        to_build.push_back(OrgKind::Baseline);
+    for (const OrgKind k : to_build) {
+        if (const char *err = orgConfigError(k, config.orgConfig())) {
+            std::cerr << "error: " << orgKindName(k) << ": " << err << "\n";
+            return EXIT_FAILURE;
+        }
+    }
+
     // Both runs go through the sweep engine; with --baseline and
     // --jobs >= 2 (or auto) they execute concurrently. The System of
     // the main run outlives the sweep so --dump-stats can read its

@@ -15,25 +15,11 @@
 namespace
 {
 
+/** Any --list-orgs name (case-insensitive); CAMEO variants otherwise. */
 cameo::OrgKind
 parseOrg(const std::string &s)
 {
-    using cameo::OrgKind;
-    if (s == "baseline")
-        return OrgKind::Baseline;
-    if (s == "cache")
-        return OrgKind::AlloyCache;
-    if (s == "tlm-static")
-        return OrgKind::TlmStatic;
-    if (s == "tlm-dynamic")
-        return OrgKind::TlmDynamic;
-    if (s == "tlm-freq")
-        return OrgKind::TlmFreq;
-    if (s == "tlm-oracle")
-        return OrgKind::TlmOracle;
-    if (s == "doubleuse")
-        return OrgKind::DoubleUse;
-    return OrgKind::Cameo;
+    return cameo::orgKindFromName(s).value_or(cameo::OrgKind::Cameo);
 }
 
 } // namespace

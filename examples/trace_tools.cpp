@@ -109,20 +109,11 @@ cmdInfo(int argc, char **argv)
     return EXIT_SUCCESS;
 }
 
+/** Any --list-orgs name (case-insensitive); CAMEO otherwise. */
 OrgKind
 parseOrg(const std::string &s)
 {
-    if (s == "baseline")
-        return OrgKind::Baseline;
-    if (s == "cache")
-        return OrgKind::AlloyCache;
-    if (s == "tlm-static")
-        return OrgKind::TlmStatic;
-    if (s == "tlm-dynamic")
-        return OrgKind::TlmDynamic;
-    if (s == "doubleuse")
-        return OrgKind::DoubleUse;
-    return OrgKind::Cameo;
+    return orgKindFromName(s).value_or(OrgKind::Cameo);
 }
 
 int

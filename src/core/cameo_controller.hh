@@ -35,6 +35,7 @@
 #include "core/line_location_predictor.hh"
 #include "core/line_location_table.hh"
 #include "dram/dram_module.hh"
+#include "sim/fidelity.hh"
 #include "snapshot/snapshot.hh"
 #include "stats/counter.hh"
 #include "stats/registry.hh"
@@ -88,29 +89,26 @@ class CameoController
     CameoController &operator=(const CameoController &) = delete;
 
     /**
-     * Service one OS-physical line access.
+     * Service one OS-physical line access — the controller's one
+     * access path for both fidelities (DESIGN.md §13). Every DRAM
+     * command goes through charge(), so a Functional access makes
+     * exactly the LLT swap, predictor and counter updates of a
+     * Detailed one and bills nothing; the wasted/squashed split of
+     * mispredicted fetches depends on queue occupancy and is only
+     * counted at Detailed fidelity.
      *
-     * @param now      Request time.
+     * @param now      Request time (ignored at Functional fidelity).
      * @param line     OS-physical line address (the "Requested
      *                 Address" of the paper).
      * @param is_write L3 writeback (true) or demand fill (false).
      * @param pc       Missing instruction's address (feeds the LLP).
      * @param core     Requesting core (selects the LLR table).
-     * @return Data-arrival time for reads; acceptance time for writes.
+     * @param fidelity Detailed bills DRAM; Functional does not.
+     * @return Data-arrival time for reads; acceptance time for writes
+     *         (@p now at Functional fidelity).
      */
     Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                std::uint32_t core);
-
-    /**
-     * Functional-fidelity twin of access() (DESIGN.md §13): identical
-     * LLT swap decisions (same swap-filter consultation order), LLP
-     * prediction + training, and serviced/swap counters — but no DRAM
-     * requests and no speculative-fetch squash accounting (wasted /
-     * squashed fetches are properties of queue occupancy and are only
-     * defined in detailed mode).
-     */
-    void accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                          std::uint32_t core);
+                std::uint32_t core, Fidelity fidelity = Fidelity::Detailed);
 
     /**
      * Stacked device lines an Embedded LLT reserves for @p data_lines
@@ -186,32 +184,32 @@ class CameoController
 
     /**
      * Move the line at (group, slot, loc != 0) into stacked memory,
-     * moving the current stacked resident out to @p loc. Issues the
-     * writeback/fill traffic at @p when and updates the LLT.
+     * moving the current stacked resident out to @p loc. Bills the
+     * writeback/fill traffic at @p when, updates the LLT and counts
+     * the swap.
      *
      * @param victim_in_hand True when the stacked resident's data was
      *        already read (Co-Located LEAD read), so no extra stacked
      *        read is needed.
      */
     void swapIn(Tick when, std::uint64_t group, std::uint32_t slot,
-                std::uint32_t loc, bool victim_in_hand);
-
-    /** The architectural half of swapIn(): LLT update + swap count. */
-    void swapSlotIn(std::uint64_t group, std::uint32_t slot);
+                std::uint32_t loc, bool victim_in_hand, Fidelity fidelity);
 
     /** Update a written-back line in place (no swap). */
-    Tick writeback(Tick now, std::uint64_t group, std::uint32_t loc);
+    Tick writeback(Tick now, std::uint64_t group, std::uint32_t loc,
+                   Fidelity fidelity);
 
     /** Consult the swap admission filter (counts rejections). */
     bool shouldSwap(std::uint64_t group, std::uint32_t slot);
 
+    /** Demand reads, per LLT design. */
     Tick accessIdeal(Tick now, std::uint64_t group, std::uint32_t slot,
-                     std::uint32_t loc, bool is_write);
+                     std::uint32_t loc, Fidelity fidelity);
     Tick accessEmbedded(Tick now, std::uint64_t group, std::uint32_t slot,
-                        std::uint32_t loc, bool is_write);
+                        std::uint32_t loc, Fidelity fidelity);
     Tick accessCoLocated(Tick now, std::uint64_t group, std::uint32_t slot,
-                         std::uint32_t loc, bool is_write, InstAddr pc,
-                         std::uint32_t core);
+                         std::uint32_t loc, InstAddr pc, std::uint32_t core,
+                         Fidelity fidelity);
 
     CameoParams params_;
     DramModule &stacked_;

@@ -38,6 +38,7 @@
 #include "dram/channel.hh"
 #include "dram/queue_config.hh"
 #include "dram/timings.hh"
+#include "sim/fidelity.hh"
 #if CAMEO_AUDIT_ENABLED
 #include "check/dram_protocol_auditor.hh"
 #endif
@@ -65,9 +66,10 @@ class DramModule
     DramModule &operator=(const DramModule &) = delete;
 
     /**
-     * Service one device command through the active timing mode — the
-     * only entry point the memory pipeline (organizations, CAMEO
-     * controller) may use; `tools/lint.py` enforces that discipline.
+     * Service one device command through the active timing mode. The
+     * memory pipeline (organizations, CAMEO controller, policies)
+     * reaches it only through charge() below; `tools/analyze` enforces
+     * that discipline.
      *
      * Blocking mode forwards to the legacy access() shim. Queued mode
      * routes the command through the per-channel controller queues:
@@ -308,6 +310,25 @@ class DramModule
     Distribution writeQueueDepth_;
     Distribution busBytesPerWindow_;
 };
+
+/**
+ * The memory pipeline's single DRAM charge point (DESIGN.md §13):
+ * every organization, the CAMEO controller and the policies bill a
+ * device command through here. Detailed fidelity forwards to
+ * @p module.request(); Functional fidelity bills nothing and returns
+ * @p now, so one access path serves both fidelities.
+ *
+ * @return Completion time (Detailed) or @p now (Functional).
+ */
+inline Tick
+charge(DramModule &module, Fidelity fidelity, Tick now,
+       std::uint64_t device_line, bool is_write,
+       std::uint32_t burst_bytes = kLineBytes)
+{
+    if (fidelity == Fidelity::Detailed)
+        return module.request(now, device_line, is_write, burst_bytes);
+    return now;
+}
 
 } // namespace cameo
 

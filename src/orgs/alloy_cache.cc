@@ -65,8 +65,8 @@ AlloyCacheOrg::trainPredictor(std::uint32_t core, InstAddr pc, bool hit)
 }
 
 Tick
-AlloyCacheOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                      std::uint32_t core)
+AlloyCacheOrg::serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
+                     std::uint32_t core, Fidelity fidelity)
 {
     assert(line < offchip_.capacityLines());
     const std::uint64_t set_idx = tags_.setIndexOf(line);
@@ -78,9 +78,9 @@ AlloyCacheOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
         // line (evicted L3 lines are recently used and likely to be
         // re-referenced — stacked caches allocate on writeback).
         if (!hit && set.valid && set.dirty)
-            offchip_.request(now, set.tag, true, kLineBytes);
-        const Tick done = stacked_.request(now, set_idx, true,
-                                          kTadBurstBytes);
+            charge(offchip_, fidelity, now, set.tag, true, kLineBytes);
+        const Tick done = charge(stacked_, fidelity, now, set_idx, true,
+                                 kTadBurstBytes);
         set.tag = line;
         set.valid = true;
         set.dirty = true;
@@ -89,18 +89,20 @@ AlloyCacheOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
 
     const bool pred_hit = predictHit(core, pc);
     // The TAD read doubles as tag check and (on hit) data delivery.
-    const Tick t_tad = stacked_.request(now, set_idx, false, kTadBurstBytes);
+    const Tick t_tad = charge(stacked_, fidelity, now, set_idx, false,
+                              kTadBurstBytes);
 
     Tick done;
     if (hit) {
         hits_.inc();
         done = t_tad;
-        if (!pred_hit) {
+        if (!pred_hit && fidelity == Fidelity::Detailed) {
             // Predicted miss but hit: the speculative off-chip fetch
             // is squashed once the TAD verifies the hit, unless the
-            // memory would already have serviced it by then.
+            // memory would already have serviced it by then. That
+            // depends on queue occupancy, so only Detailed counts it.
             if (offchip_.earliestServiceStart(line) <= t_tad) {
-                offchip_.request(now, line, false, kLineBytes);
+                charge(offchip_, fidelity, now, line, false, kLineBytes);
                 wastedFetches_.inc();
             }
         }
@@ -109,7 +111,8 @@ AlloyCacheOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
         // Off-chip fetch: parallel with the TAD read when predicted
         // miss, serialized behind the tag check otherwise.
         const Tick issue = pred_hit ? t_tad : now;
-        const Tick t_off = offchip_.request(issue, line, false, kLineBytes);
+        const Tick t_off = charge(offchip_, fidelity, issue, line, false,
+                                  kLineBytes);
         done = std::max(t_tad, t_off);
 
         // Fill: install the TAD; evict dirty victim to off-chip. The
@@ -117,8 +120,8 @@ AlloyCacheOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
         // traffic is billed at request time (they contend for the
         // buses but are not on the demand critical path).
         if (set.valid && set.dirty)
-            offchip_.request(now, set.tag, true, kLineBytes);
-        stacked_.request(now, set_idx, true, kTadBurstBytes);
+            charge(offchip_, fidelity, now, set.tag, true, kLineBytes);
+        charge(stacked_, fidelity, now, set_idx, true, kTadBurstBytes);
         set.tag = line;
         set.valid = true;
         set.dirty = false;
@@ -127,38 +130,6 @@ AlloyCacheOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
     (pred_hit == hit ? mapCorrect_ : mapWrong_).inc();
     trainPredictor(core, pc, hit);
     return done;
-}
-
-void
-AlloyCacheOrg::accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                                std::uint32_t core)
-{
-    assert(line < offchip_.capacityLines());
-    TadTagMapping::Entry &set = tags_.setFor(line);
-    const bool hit = set.valid && set.tag == line;
-
-    if (is_write) {
-        // Same install-on-writeback policy as the detailed path; the
-        // victim writeback and TAD write are timing-only.
-        set.tag = line;
-        set.valid = true;
-        set.dirty = true;
-        return;
-    }
-
-    const bool pred_hit = predictHit(core, pc);
-    if (hit) {
-        hits_.inc();
-        // wastedFetches_ depends on off-chip queue occupancy
-        // (earliestServiceStart) — timing-only, skipped here.
-    } else {
-        misses_.inc();
-        set.tag = line;
-        set.valid = true;
-        set.dirty = false;
-    }
-    (pred_hit == hit ? mapCorrect_ : mapWrong_).inc();
-    trainPredictor(core, pc, hit);
 }
 
 double

@@ -47,12 +47,6 @@ class AlloyCacheOrg : public MemoryOrganization
     AlloyCacheOrg(const OrgConfig &config, std::uint64_t backing_bytes,
                   std::string name = "Cache");
 
-    Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                std::uint32_t core) override;
-
-    void accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                          std::uint32_t core) override;
-
     std::uint64_t visibleBytes() const override
     {
         return offchip_.capacityBytes();
@@ -82,6 +76,10 @@ class AlloyCacheOrg : public MemoryOrganization
      */
     void save(SnapshotWriter &w) const override;
     void restore(SnapshotReader &r) override;
+
+  protected:
+    Tick serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
+               std::uint32_t core, Fidelity fidelity) override;
 
   private:
     /** MAP-I: predict whether @p pc's access will hit the cache. */

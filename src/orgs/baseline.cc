@@ -13,26 +13,13 @@ BaselineOrg::BaselineOrg(const OrgConfig &config)
 }
 
 Tick
-BaselineOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                    std::uint32_t core)
+BaselineOrg::serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
+                   std::uint32_t core, Fidelity fidelity)
 {
     (void)pc;
     (void)core;
     assert(line < offchip_.capacityLines());
-    return offchip_.request(now, line, is_write, kLineBytes);
-}
-
-void
-BaselineOrg::accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                              std::uint32_t core)
-{
-    (void)is_write;
-    (void)pc;
-    (void)core;
-    // Off-chip DRAM holds every line and keeps no architectural state;
-    // the detailed path only advances timing.
-    (void)line;
-    assert(line < offchip_.capacityLines());
+    return charge(offchip_, fidelity, now, line, is_write, kLineBytes);
 }
 
 void

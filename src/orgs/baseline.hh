@@ -19,12 +19,6 @@ class BaselineOrg : public MemoryOrganization
   public:
     explicit BaselineOrg(const OrgConfig &config);
 
-    Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                std::uint32_t core) override;
-
-    void accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                          std::uint32_t core) override;
-
     std::uint64_t visibleBytes() const override
     {
         return offchip_.capacityBytes();
@@ -34,6 +28,10 @@ class BaselineOrg : public MemoryOrganization
 
     DramModule &offchipModule() override { return offchip_; }
     const DramModule &offchipModule() const override { return offchip_; }
+
+  protected:
+    Tick serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
+               std::uint32_t core, Fidelity fidelity) override;
 
   private:
     DramModule offchip_;

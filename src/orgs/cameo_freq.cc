@@ -13,19 +13,11 @@ CameoFreqOrg::CameoFreqOrg(const OrgConfig &config)
 }
 
 Tick
-CameoFreqOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                     std::uint32_t core)
+CameoFreqOrg::serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
+                    std::uint32_t core, Fidelity fidelity)
 {
     filter_.noteAccess(line);
-    return CameoOrg::access(now, line, is_write, pc, core);
-}
-
-void
-CameoFreqOrg::accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                               std::uint32_t core)
-{
-    filter_.noteAccess(line);
-    CameoOrg::accessFunctional(line, is_write, pc, core);
+    return CameoOrg::serve(now, line, is_write, pc, core, fidelity);
 }
 
 void

@@ -32,12 +32,6 @@ class CameoFreqOrg : public CameoOrg
 
     explicit CameoFreqOrg(const OrgConfig &config);
 
-    Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                std::uint32_t core) override;
-
-    void accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                          std::uint32_t core) override;
-
     void registerStats(StatRegistry &registry) override;
 
     const Counter &hotPages() const { return filter_.hotPages(); }
@@ -45,6 +39,10 @@ class CameoFreqOrg : public CameoOrg
     /** Checkpointable: CAMEO state + the admission filter's counters. */
     void save(SnapshotWriter &w) const override;
     void restore(SnapshotReader &r) override;
+
+  protected:
+    Tick serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
+               std::uint32_t core, Fidelity fidelity) override;
 
   private:
     /** The admission policy (owns counters, epoch decay, stats). */

@@ -83,17 +83,10 @@ CameoOrg::CameoOrg(const OrgConfig &config, std::string name)
 }
 
 Tick
-CameoOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                 std::uint32_t core)
+CameoOrg::serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
+                std::uint32_t core, Fidelity fidelity)
 {
-    return controller_.access(now, line, is_write, pc, core);
-}
-
-void
-CameoOrg::accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                           std::uint32_t core)
-{
-    controller_.accessFunctional(line, is_write, pc, core);
+    return controller_.access(now, line, is_write, pc, core, fidelity);
 }
 
 void

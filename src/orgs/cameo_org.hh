@@ -33,12 +33,6 @@ class CameoOrg : public MemoryOrganization
      */
     explicit CameoOrg(const OrgConfig &config, std::string name = "");
 
-    Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                std::uint32_t core) override;
-
-    void accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                          std::uint32_t core) override;
-
     std::uint64_t visibleBytes() const override { return visibleBytes_; }
 
     void registerStats(StatRegistry &registry) override;
@@ -57,6 +51,10 @@ class CameoOrg : public MemoryOrganization
     /** Checkpointable: base state + the controller's LLT/LLP tables. */
     void save(SnapshotWriter &w) const override;
     void restore(SnapshotReader &r) override;
+
+  protected:
+    Tick serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
+               std::uint32_t core, Fidelity fidelity) override;
 
   private:
     static DramTimings stackedTimingsFor(const OrgConfig &config);

@@ -1,7 +1,7 @@
 /**
  * @file
- * ComposedOrg driver implementation — the routing path the old
- * TlmStaticOrg hierarchy hard-wired, now shared by every composition.
+ * ComposedOrg driver implementation — the one routing path every
+ * page-granular composition shares.
  */
 
 #include "orgs/composed_org.hh"
@@ -36,57 +36,40 @@ ComposedOrg::~ComposedOrg() = default;
 
 Tick
 ComposedOrg::routeLine(Tick now, std::uint64_t device_page,
-                       std::uint32_t line_in_page, bool is_write)
+                       std::uint32_t line_in_page, bool is_write,
+                       Fidelity fidelity)
 {
     assert(device_page < totalPages_);
     if (inStacked(device_page)) {
         servicedStacked_.inc();
-        return stacked_.request(now,
-                               device_page * kLinesPerPage + line_in_page,
-                               is_write, kLineBytes);
+        return charge(stacked_, fidelity, now,
+                      device_page * kLinesPerPage + line_in_page, is_write,
+                      kLineBytes);
     }
     servicedOffchip_.inc();
     const std::uint64_t off_line =
         (device_page - stackedPages_) * kLinesPerPage + line_in_page;
-    return offchip_.request(now, off_line, is_write, kLineBytes);
+    return charge(offchip_, fidelity, now, off_line, is_write, kLineBytes);
 }
 
 Tick
-ComposedOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                    std::uint32_t core)
+ComposedOrg::serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
+                   std::uint32_t core, Fidelity fidelity)
 {
     (void)pc;
     const PageAddr phys_page = lineToPage(line);
     // Translation first: mappings whose metadata lives in memory (the
     // Banshee PTE cache) may bill a walk and delay the data access.
-    const Tick start = mapping_->beginAccess(now, phys_page, core, offchip_,
-                                             Fidelity::Detailed);
+    const Tick start =
+        mapping_->beginAccess(now, phys_page, core, offchip_, fidelity);
     const std::uint64_t dev = mapping_->devicePageOf(phys_page);
     const auto line_in_page =
         static_cast<std::uint32_t>(line & (kLinesPerPage - 1));
-    const Tick done = routeLine(start, dev, line_in_page, is_write);
+    const Tick done = routeLine(start, dev, line_in_page, is_write, fidelity);
     // Migration traffic drains through writeback/fill queues; bill it
     // at request time, off the demand critical path.
-    placement_->onAccess(*this, start, phys_page, dev, is_write,
-                         Fidelity::Detailed);
+    placement_->onAccess(*this, start, phys_page, dev, is_write, fidelity);
     return done;
-}
-
-void
-ComposedOrg::accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                              std::uint32_t core)
-{
-    (void)pc;
-    const PageAddr phys_page = lineToPage(line);
-    mapping_->beginAccess(0, phys_page, core, offchip_,
-                          Fidelity::Functional);
-    const std::uint64_t dev = mapping_->devicePageOf(phys_page);
-    assert(dev < totalPages_);
-    // Same demand-routing accounting as routeLine, minus the module
-    // requests; then the same placement hook at functional fidelity.
-    (inStacked(dev) ? servicedStacked_ : servicedOffchip_).inc();
-    placement_->onAccess(*this, 0, phys_page, dev, is_write,
-                         Fidelity::Functional);
 }
 
 void
@@ -94,18 +77,16 @@ ComposedOrg::billPageSwap(Tick when, std::uint64_t offchip_dev_page,
                           std::uint64_t stacked_dev_page, Fidelity fidelity)
 {
     assert(!inStacked(offchip_dev_page) && inStacked(stacked_dev_page));
-    if (fidelity == Fidelity::Detailed) {
-        const std::uint64_t off_base =
-            (offchip_dev_page - stackedPages_) * kLinesPerPage;
-        const std::uint64_t stk_base = stacked_dev_page * kLinesPerPage;
-        for (std::uint32_t i = 0; i < kLinesPerPage; ++i) {
-            // Page coming in: read off-chip, write stacked.
-            offchip_.request(when, off_base + i, false, kLineBytes);
-            stacked_.request(when, stk_base + i, true, kLineBytes);
-            // Victim going out: read stacked, write off-chip.
-            stacked_.request(when, stk_base + i, false, kLineBytes);
-            offchip_.request(when, off_base + i, true, kLineBytes);
-        }
+    const std::uint64_t off_base =
+        (offchip_dev_page - stackedPages_) * kLinesPerPage;
+    const std::uint64_t stk_base = stacked_dev_page * kLinesPerPage;
+    for (std::uint32_t i = 0; i < kLinesPerPage; ++i) {
+        // Page coming in: read off-chip, write stacked.
+        charge(offchip_, fidelity, when, off_base + i, false, kLineBytes);
+        charge(stacked_, fidelity, when, stk_base + i, true, kLineBytes);
+        // Victim going out: read stacked, write off-chip.
+        charge(stacked_, fidelity, when, stk_base + i, false, kLineBytes);
+        charge(offchip_, fidelity, when, off_base + i, true, kLineBytes);
     }
     pageMigrations_.inc();
 }

@@ -3,14 +3,13 @@
  * ComposedOrg: a two-level organization assembled from one page-granular
  * MappingPolicy and one PagePlacementPolicy (DESIGN.md §14).
  *
- * The driver owns the DRAM modules and the demand-routing path that the
- * old TlmStaticOrg hierarchy hard-wired: translate the OS-physical page
- * through the mapping, service the line from the right module, then let
- * the placement react (possibly swapping pages through the
- * PlacementContext interface this class implements). The TLM family and
- * Banshee are all instances of this driver with different policy pairs;
- * their stats, routing arithmetic, and snapshot byte layouts are
- * identical to the pre-refactor monoliths.
+ * The driver owns the DRAM modules and the demand-routing path:
+ * translate the OS-physical page through the mapping, service the line
+ * from the right module, then let the placement react (possibly
+ * swapping pages through the PlacementContext interface this class
+ * implements). The TLM family and Banshee are rows of the organization
+ * table (orgs/memory_organization.cc) that build this driver with
+ * different policy pairs; there is no subclass per organization.
  */
 
 #ifndef CAMEO_ORGS_COMPOSED_ORG_HH
@@ -27,7 +26,7 @@ namespace cameo
 {
 
 /** Mapping x placement composition over the two-level routing driver. */
-class ComposedOrg : public MemoryOrganization, public PlacementContext
+class ComposedOrg final : public MemoryOrganization, public PlacementContext
 {
   public:
     ComposedOrg(const OrgConfig &config, std::string name,
@@ -35,12 +34,6 @@ class ComposedOrg : public MemoryOrganization, public PlacementContext
                 std::unique_ptr<PagePlacementPolicy> placement);
 
     ~ComposedOrg() override;
-
-    Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                std::uint32_t core) override;
-
-    void accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                          std::uint32_t core) override;
 
     std::uint64_t visibleBytes() const override
     {
@@ -87,12 +80,6 @@ class ComposedOrg : public MemoryOrganization, public PlacementContext
     const Counter &servicedStacked() const { return servicedStacked_; }
     const Counter &pageMigrations() const { return pageMigrations_; }
 
-    /** Current device page of an OS-physical page (for tests). */
-    std::uint64_t devicePageOfPublic(PageAddr phys_page) const
-    {
-        return mapping_->devicePageOf(phys_page);
-    }
-
     PageMappingPolicy &mappingPolicy() { return *mapping_; }
     const PageMappingPolicy &mappingPolicy() const { return *mapping_; }
     PagePlacementPolicy &placementPolicy() { return *placement_; }
@@ -110,7 +97,10 @@ class ComposedOrg : public MemoryOrganization, public PlacementContext
     void save(SnapshotWriter &w) const override;
     void restore(SnapshotReader &r) override;
 
-  protected:
+  private:
+    Tick serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
+               std::uint32_t core, Fidelity fidelity) override;
+
     /** True if @p device_page resides in stacked DRAM. */
     bool inStacked(std::uint64_t device_page) const
     {
@@ -119,7 +109,8 @@ class ComposedOrg : public MemoryOrganization, public PlacementContext
 
     /** Service a line of @p device_page from the right module. */
     Tick routeLine(Tick now, std::uint64_t device_page,
-                   std::uint32_t line_in_page, bool is_write);
+                   std::uint32_t line_in_page, bool is_write,
+                   Fidelity fidelity);
 
     DramModule stacked_;
     DramModule offchip_;

@@ -2,17 +2,22 @@
 
 #include <cassert>
 #include <cctype>
+#include <iterator>
+#include <stdexcept>
 
 #include "orgs/alloy_cache.hh"
-#include "orgs/banshee.hh"
 #include "orgs/baseline.hh"
 #include "orgs/cameo_freq.hh"
 #include "orgs/cameo_org.hh"
-#include "orgs/double_use.hh"
-#include "orgs/tlm_dynamic.hh"
-#include "orgs/tlm_freq.hh"
-#include "orgs/tlm_oracle.hh"
-#include "orgs/tlm_static.hh"
+#include "orgs/composed_org.hh"
+#include "orgs/policy/epoch_freq_placement.hh"
+#include "orgs/policy/nth_touch_placement.hh"
+#include "orgs/policy/oracle_heat_placement.hh"
+#include "orgs/policy/page_remap_mapping.hh"
+#include "orgs/policy/placement_policy.hh"
+#include "orgs/policy/pte_cached_mapping.hh"
+#include "orgs/policy/sampling_freq_placement.hh"
+#include "util/bitops.hh"
 
 namespace cameo
 {
@@ -168,6 +173,10 @@ MemoryOrganization::resetTiming()
     assert(inflight_.empty() &&
            "drain in-flight transactions before a timing reset");
     lastRequestId_ = 0;
+#if CAMEO_AUDIT_ENABLED
+    // Request ids and delivery times restart with the rebased clocks.
+    queueAudit_.reset();
+#endif
     if (DramModule *stacked = stackedModule())
         stacked->reset();
     offchipModule().reset();
@@ -211,36 +220,178 @@ OrgConfig::validate() const
     return nullptr;
 }
 
-const char *
-orgKindName(OrgKind kind)
-{
-    switch (kind) {
-      case OrgKind::Baseline:
-        return "Baseline";
-      case OrgKind::AlloyCache:
-        return "Cache";
-      case OrgKind::TlmStatic:
-        return "TLM-Static";
-      case OrgKind::TlmDynamic:
-        return "TLM-Dynamic";
-      case OrgKind::TlmFreq:
-        return "TLM-Freq";
-      case OrgKind::TlmOracle:
-        return "TLM-Oracle";
-      case OrgKind::DoubleUse:
-        return "DoubleUse";
-      case OrgKind::Cameo:
-        return "CAMEO";
-      case OrgKind::CameoFreq:
-        return "CAMEO-Freq";
-      case OrgKind::Banshee:
-        return "Banshee";
-    }
-    return "Unknown";
-}
-
 namespace
 {
+
+using OrgPtr = std::unique_ptr<MemoryOrganization>;
+
+std::uint64_t
+stackedPagesOf(const OrgConfig &config)
+{
+    return config.stackedBytes / kPageBytes;
+}
+
+std::uint64_t
+totalPagesOf(const OrgConfig &config)
+{
+    return (config.stackedBytes + config.offchipBytes) / kPageBytes;
+}
+
+/** Every organization but DoubleUse backs its span with off-chip DRAM. */
+const char *
+needsOffchip(const OrgConfig &config)
+{
+    if (config.offchipBytes == 0)
+        return "offchipBytes must be nonzero";
+    return nullptr;
+}
+
+/** DoubleUse's backing store is off-chip + stacked, never empty. */
+const char *
+noPrecondition(const OrgConfig &)
+{
+    return nullptr;
+}
+
+/** CAMEO's congruence-group math (Section IV-A). */
+const char *
+needsCameoGeometry(const OrgConfig &config)
+{
+    if (const char *err = needsOffchip(config))
+        return err;
+    if (!isPowerOfTwo(config.stackedBytes / kLineBytes))
+        return "stackedBytes must be a power-of-two number of lines";
+    if (config.offchipBytes % config.stackedBytes != 0)
+        return "offchipBytes must be a whole multiple of stackedBytes "
+               "(integral congruence-group size)";
+    if (config.offchipBytes / config.stackedBytes > 15)
+        return "offchipBytes must be at most 15x stackedBytes (a "
+               "congruence group holds at most 16 lines)";
+    return nullptr;
+}
+
+OrgPtr
+composed(const OrgConfig &config, const char *name,
+         std::unique_ptr<PageMappingPolicy> mapping,
+         std::unique_ptr<PagePlacementPolicy> placement)
+{
+    return std::make_unique<ComposedOrg>(config, name, std::move(mapping),
+                                         std::move(placement));
+}
+
+/** One organization kind: identity, composition, preconditions, factory. */
+struct OrgRow
+{
+    OrgKind kind;
+    const char *name;
+    OrgComposition composition;
+    const char *(*precondition)(const OrgConfig &config);
+    OrgPtr (*make)(const OrgConfig &config, const char *name);
+};
+
+/**
+ * The organization table — the one place that lists the kinds, in
+ * OrgKind order. The composition column is live for ComposedOrg rows
+ * (checked against the policies' own names) and documents the policy
+ * pair the monoliths' fused hot paths implement.
+ */
+constexpr OrgRow kOrgTable[] = {
+    {OrgKind::Baseline, "Baseline", {"identity", "none"}, needsOffchip,
+     [](const OrgConfig &c, const char *) -> OrgPtr {
+         return std::make_unique<BaselineOrg>(c);
+     }},
+    {OrgKind::AlloyCache, "Cache", {"tad-tags", "install-on-miss"},
+     needsOffchip,
+     [](const OrgConfig &c, const char *name) -> OrgPtr {
+         return std::make_unique<AlloyCacheOrg>(c, c.offchipBytes, name);
+     }},
+    // Random placement comes from the frame allocator's shuffled free
+    // list; the org itself never translates or moves a page.
+    {OrgKind::TlmStatic, "TLM-Static", {"identity", "static"}, needsOffchip,
+     [](const OrgConfig &c, const char *name) {
+         return composed(c, name, std::make_unique<IdentityMapping>(),
+                         std::make_unique<StaticPlacement>());
+     }},
+    {OrgKind::TlmDynamic, "TLM-Dynamic", {"page-remap", "nth-touch-migrate"},
+     needsOffchip,
+     [](const OrgConfig &c, const char *name) {
+         return composed(c, name,
+                         std::make_unique<PageRemapMapping>(totalPagesOf(c)),
+                         std::make_unique<NthTouchMigratePlacement>(
+                             stackedPagesOf(c), totalPagesOf(c), c.migrate,
+                             c.seed));
+     }},
+    {OrgKind::TlmFreq, "TLM-Freq", {"page-remap", "epoch-frequency"},
+     needsOffchip,
+     [](const OrgConfig &c, const char *name) {
+         return composed(c, name,
+                         std::make_unique<PageRemapMapping>(totalPagesOf(c)),
+                         std::make_unique<EpochFrequencyPlacement>(
+                             stackedPagesOf(c), totalPagesOf(c),
+                             c.freq.epochAccesses));
+     }},
+    {OrgKind::TlmOracle, "TLM-Oracle", {"page-remap", "oracle-heat"},
+     needsOffchip,
+     [](const OrgConfig &c, const char *name) {
+         return composed(c, name,
+                         std::make_unique<PageRemapMapping>(totalPagesOf(c)),
+                         std::make_unique<OracleHeatPlacement>(
+                             stackedPagesOf(c), totalPagesOf(c)));
+     }},
+    // The idealistic bound (Section II-D): an Alloy cache whose backing
+    // memory magically grows by the stacked capacity.
+    {OrgKind::DoubleUse, "DoubleUse", {"tad-tags", "install-on-miss"},
+     noPrecondition,
+     [](const OrgConfig &c, const char *name) -> OrgPtr {
+         return std::make_unique<AlloyCacheOrg>(
+             c, c.offchipBytes + c.stackedBytes, name);
+     }},
+    {OrgKind::Cameo, "CAMEO", {"llt-line-swap", "mru-swap"},
+     needsCameoGeometry,
+     [](const OrgConfig &c, const char *) -> OrgPtr {
+         return std::make_unique<CameoOrg>(c);
+     }},
+    {OrgKind::CameoFreq, "CAMEO-Freq", {"llt-line-swap", "freq-admission"},
+     needsCameoGeometry,
+     [](const OrgConfig &c, const char *) -> OrgPtr {
+         return std::make_unique<CameoFreqOrg>(c);
+     }},
+    {OrgKind::Banshee, "Banshee", {"pte-cached-remap", "sampling-frequency"},
+     needsOffchip,
+     [](const OrgConfig &c, const char *name) {
+         return composed(c, name,
+                         std::make_unique<PteCachedPageMapping>(
+                             totalPagesOf(c), c.numCores, c.banshee),
+                         std::make_unique<SamplingFrequencyPlacement>(
+                             stackedPagesOf(c), totalPagesOf(c), c.banshee,
+                             c.freq.epochAccesses, c.seed));
+     }},
+};
+
+constexpr bool
+rowsFollowKindOrder()
+{
+    for (std::size_t i = 0; i < std::size(kOrgTable); ++i) {
+        if (static_cast<std::size_t>(kOrgTable[i].kind) != i)
+            return false;
+    }
+    return true;
+}
+static_assert(rowsFollowKindOrder(), "kOrgTable rows must follow OrgKind");
+
+bool
+inTable(OrgKind kind)
+{
+    return static_cast<std::size_t>(kind) < std::size(kOrgTable);
+}
+
+const OrgRow &
+rowOf(OrgKind kind)
+{
+    if (!inTable(kind))
+        throw std::invalid_argument("unknown organization kind");
+    return kOrgTable[static_cast<std::size_t>(kind)];
+}
 
 /** ASCII case-insensitive string equality (CLI org spellings). */
 bool
@@ -259,12 +410,19 @@ iequals(std::string_view a, std::string_view b)
 
 } // namespace
 
+const char *
+orgKindName(OrgKind kind)
+{
+    // Tolerates out-of-range kinds: a corrupt snapshot header names one.
+    return inTable(kind) ? rowOf(kind).name : "Unknown";
+}
+
 std::optional<OrgKind>
 orgKindFromName(std::string_view name)
 {
-    for (const OrgKind kind : allOrgKinds()) {
-        if (iequals(name, orgKindName(kind)))
-            return kind;
+    for (const OrgRow &row : kOrgTable) {
+        if (iequals(name, row.name))
+            return row.kind;
     }
     return std::nullopt;
 }
@@ -272,70 +430,37 @@ orgKindFromName(std::string_view name)
 const std::vector<OrgKind> &
 allOrgKinds()
 {
-    static const std::vector<OrgKind> kinds = {
-        OrgKind::Baseline,  OrgKind::AlloyCache, OrgKind::TlmStatic,
-        OrgKind::TlmDynamic, OrgKind::TlmFreq,   OrgKind::TlmOracle,
-        OrgKind::DoubleUse, OrgKind::Cameo,      OrgKind::CameoFreq,
-        OrgKind::Banshee,
-    };
+    static const std::vector<OrgKind> kinds = [] {
+        std::vector<OrgKind> out;
+        for (const OrgRow &row : kOrgTable)
+            out.push_back(row.kind);
+        return out;
+    }();
     return kinds;
 }
 
 OrgComposition
 orgComposition(OrgKind kind)
 {
-    switch (kind) {
-      case OrgKind::Baseline:
-        return {"identity", "none"};
-      case OrgKind::AlloyCache:
-        return {"tad-tags", "install-on-miss"};
-      case OrgKind::TlmStatic:
-        return {"identity", "static"};
-      case OrgKind::TlmDynamic:
-        return {"page-remap", "nth-touch-migrate"};
-      case OrgKind::TlmFreq:
-        return {"page-remap", "epoch-frequency"};
-      case OrgKind::TlmOracle:
-        return {"page-remap", "oracle-heat"};
-      case OrgKind::DoubleUse:
-        return {"tad-tags", "install-on-miss"};
-      case OrgKind::Cameo:
-        return {"llt-line-swap", "mru-swap"};
-      case OrgKind::CameoFreq:
-        return {"llt-line-swap", "freq-admission"};
-      case OrgKind::Banshee:
-        return {"pte-cached-remap", "sampling-frequency"};
-    }
-    return {"unknown", "unknown"};
+    return rowOf(kind).composition;
+}
+
+const char *
+orgConfigError(OrgKind kind, const OrgConfig &config)
+{
+    if (const char *err = config.validate())
+        return err;
+    return rowOf(kind).precondition(config);
 }
 
 std::unique_ptr<MemoryOrganization>
 makeOrganization(OrgKind kind, const OrgConfig &config)
 {
-    switch (kind) {
-      case OrgKind::Baseline:
-        return std::make_unique<BaselineOrg>(config);
-      case OrgKind::AlloyCache:
-        return std::make_unique<AlloyCacheOrg>(config,
-                                               config.offchipBytes);
-      case OrgKind::TlmStatic:
-        return std::make_unique<TlmStaticOrg>(config);
-      case OrgKind::TlmDynamic:
-        return std::make_unique<TlmDynamicOrg>(config);
-      case OrgKind::TlmFreq:
-        return std::make_unique<TlmFreqOrg>(config);
-      case OrgKind::TlmOracle:
-        return std::make_unique<TlmOracleOrg>(config);
-      case OrgKind::DoubleUse:
-        return std::make_unique<DoubleUseOrg>(config);
-      case OrgKind::Cameo:
-        return std::make_unique<CameoOrg>(config);
-      case OrgKind::CameoFreq:
-        return std::make_unique<CameoFreqOrg>(config);
-      case OrgKind::Banshee:
-        return std::make_unique<BansheeOrg>(config);
-    }
-    return nullptr;
+    if (const char *err = orgConfigError(kind, config))
+        throw std::invalid_argument(std::string(orgKindName(kind)) + ": " +
+                                    err);
+    const OrgRow &row = rowOf(kind);
+    return row.make(config, row.name);
 }
 
 } // namespace cameo

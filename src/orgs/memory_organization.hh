@@ -11,7 +11,7 @@
  * workloads.
  *
  * Requesters enter through submit(), the transaction front door
- * (DESIGN.md §9): it wraps the virtual access() timing model in a
+ * (DESIGN.md §9): it wraps the access() timing model in a
  * MemRequest and delivers the completion to the issuing MemClient —
  * synchronously in Blocking timing (the legacy control flow,
  * bit-identical stats), or through the bound SimKernel event queue at
@@ -37,6 +37,7 @@
 #include "orgs/policy/page_heat.hh"
 #include "orgs/policy/policy_config.hh"
 #include "sim/event_queue.hh"
+#include "sim/fidelity.hh"
 #include "sim/mem_request.hh"
 #include "stats/registry.hh"
 #include "util/types.hh"
@@ -47,7 +48,11 @@
 namespace cameo
 {
 
-/** The designs compared throughout the paper's evaluation. */
+/**
+ * The designs compared throughout the paper's evaluation. The
+ * organization table in memory_organization.cc holds one row per kind
+ * (name, composition, preconditions, factory), in this order.
+ */
 enum class OrgKind
 {
     Baseline,   ///< No stacked DRAM; off-chip only.
@@ -61,8 +66,7 @@ enum class OrgKind
     CameoFreq,  ///< CAMEO + frequency-directed swap admission (the
                 ///< Section VI-D extension; see orgs/cameo_freq.hh).
     Banshee,    ///< PTE-cached page mapping + sampling-counter
-                ///< frequency placement (Yu et al., MICRO 2017; see
-                ///< orgs/banshee.hh).
+                ///< frequency placement (Yu et al., MICRO 2017).
 };
 
 /** Printable name of an organization kind. */
@@ -137,7 +141,7 @@ class MemoryOrganization : public Checkpointable
     MemoryOrganization &operator=(const MemoryOrganization &) = delete;
 
     /**
-     * Service one OS-physical line access.
+     * Service one OS-physical line access at Detailed fidelity.
      *
      * @param now      Request time.
      * @param line     OS-physical line address.
@@ -146,31 +150,29 @@ class MemoryOrganization : public Checkpointable
      * @param core     Requesting core id.
      * @return Data-arrival time for reads; acceptance time for writes.
      */
-    virtual Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                        std::uint32_t core) = 0;
+    Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
+                std::uint32_t core)
+    {
+        return serve(now, line, is_write, pc, core, Fidelity::Detailed);
+    }
 
     /**
-     * Functional-fidelity twin of access() (DESIGN.md §13): performs
-     * exactly the architectural state updates of the detailed path —
-     * tag arrays, LLT permutations, predictor training, heat counters,
-     * migration decisions, RNG draws, demand-routing counters — but
-     * issues no DRAM requests, models no timing, and schedules no
-     * events. Timing-only side effects (bank/bus reservations, queue
-     * occupancy, squash/wasted-fetch accounting) are skipped; every
-     * state a later detailed run can observe is updated identically.
-     *
-     * @param line     OS-physical line address.
-     * @param is_write L3 writeback (true) or demand fill (false).
-     * @param pc       Missing instruction address (for predictors).
-     * @param core     Requesting core id.
+     * The same access at Functional fidelity (DESIGN.md §13): the one
+     * serve() path runs with no clock and bills no DRAM, so every
+     * architectural state update of access() happens identically by
+     * construction.
      */
-    virtual void accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                                  std::uint32_t core) = 0;
+    void accessFunctional(LineAddr line, bool is_write, InstAddr pc,
+                          std::uint32_t core)
+    {
+        serve(0, line, is_write, pc, core, Fidelity::Functional);
+    }
 
     /**
      * Reset all timing state while preserving architectural state: the
      * DRAM modules' bank/bus reservations, controller queues, protocol
-     * auditor and counters go back to power-on. System calls this at
+     * auditor and counters, and the transaction auditor's request ids
+     * and delivery clock, go back to power-on. System calls this at
      * the warmup→measured switch (after the warmup phase has drained)
      * so functional- and detailed-warmup runs enter the measured
      * region with identical timing state.
@@ -179,7 +181,7 @@ class MemoryOrganization : public Checkpointable
 
     /**
      * Submit one transaction to the memory pipeline. Timing comes from
-     * the virtual access() model; completion delivery depends on the
+     * the access() model; completion delivery depends on the
      * mode: Blocking invokes @p client->onMemComplete before returning
      * (identical control flow to calling access() directly), Queued
      * schedules it on the bound event queue at the completion tick.
@@ -281,6 +283,21 @@ class MemoryOrganization : public Checkpointable
     explicit MemoryOrganization(std::string name) : name_(std::move(name)) {}
 
     /**
+     * The organization's one access path, shared by both fidelities:
+     * tag arrays, LLT permutations, predictor training, heat counters,
+     * migration decisions, RNG draws and demand-routing counters update
+     * identically, and every DRAM command goes through charge()
+     * (dram/dram_module.hh), which bills nothing at Functional
+     * fidelity. Queue-occupancy queries (the wasted-fetch split) run
+     * only at Detailed fidelity.
+     *
+     * @return Completion time at Detailed fidelity; unspecified at
+     *         Functional fidelity.
+     */
+    virtual Tick serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
+                       std::uint32_t core, Fidelity fidelity) = 0;
+
+    /**
      * Adopt @p config's timing mode: stores it and pushes the mode and
      * queue geometry into this organization's DRAM modules. Concrete
      * organizations call this at the end of their constructor bodies
@@ -321,7 +338,22 @@ class MemoryOrganization : public Checkpointable
 #endif
 };
 
-/** Construct an organization of @p kind from @p config. */
+/**
+ * Why @p config cannot build an organization of @p kind: the first
+ * violated constraint of OrgConfig::validate(), then the kind's own
+ * preconditions (the CAMEO family's power-of-two stacked lines and
+ * integral capacity ratio of at most 16 lines per congruence group; a
+ * non-empty off-chip memory for every kind but DoubleUse). nullptr when the pair is buildable. Front ends call
+ * this to reject a bad design point before running anything.
+ */
+const char *orgConfigError(OrgKind kind, const OrgConfig &config);
+
+/**
+ * Construct an organization of @p kind from @p config.
+ *
+ * @throws std::invalid_argument carrying orgConfigError() when the
+ *         pair is not buildable.
+ */
 std::unique_ptr<MemoryOrganization> makeOrganization(OrgKind kind,
                                                      const OrgConfig &config);
 

@@ -4,9 +4,12 @@
  *
  * Each composable policy family gets its own config struct with a
  * validate() method returning nullptr on success or a static message
- * describing the first violated constraint. OrgConfig aggregates them;
- * makeOrganization() and the CLI validate before construction so a bad
- * design point is a reportable error, not an assert deep in a ctor.
+ * describing the first violated constraint. OrgConfig::validate()
+ * aggregates them; orgConfigError() adds each organization kind's own
+ * preconditions, makeOrganization() throws std::invalid_argument with
+ * that reason, and cameo-sim / cameo-shard report it before running, so
+ * a bad design point is a reportable error, not an assert deep in a
+ * ctor.
  */
 
 #ifndef CAMEO_ORGS_POLICY_POLICY_CONFIG_HH

@@ -38,14 +38,10 @@ PteCachedPageMapping::beginAccess(Tick now, PageAddr phys_page,
     }
     pteMisses_.inc();
     slot = phys_page + 1;
-    if (fidelity == Fidelity::Detailed) {
-        // The mapping lives in the off-chip page tables: bill the walk
-        // as one metadata line read and serialize the data access
-        // behind it.
-        const std::uint64_t walk_line = phys_page % offchip.capacityLines();
-        return offchip.request(now, walk_line, false, kLineBytes);
-    }
-    return now;
+    // The mapping lives in the off-chip page tables: bill the walk as
+    // one metadata line read and serialize the data access behind it.
+    const std::uint64_t walk_line = phys_page % offchip.capacityLines();
+    return charge(offchip, fidelity, now, walk_line, false, kLineBytes);
 }
 
 void

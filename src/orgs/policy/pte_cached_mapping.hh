@@ -10,8 +10,8 @@
  * analogue), which is exactly why Banshee's placement migrates rarely.
  *
  * The functional-fidelity contract holds: cache contents, hit/miss
- * counters, and shootdowns update identically at both fidelities; only
- * the walk's DRAM request is Detailed-gated.
+ * counters, and shootdowns update identically at both fidelities; the
+ * walk is billed through charge(), which bills nothing when Functional.
  */
 
 #ifndef CAMEO_ORGS_POLICY_PTE_CACHED_MAPPING_HH

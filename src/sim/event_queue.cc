@@ -39,6 +39,13 @@ EventQueue::runUntil(Tick limit)
         runOne();
 }
 
+void
+EventQueue::rewind()
+{
+    assert(heap_.empty() && "rewind only a drained queue");
+    curTick_ = 0;
+}
+
 Tick
 EventQueue::runAll()
 {

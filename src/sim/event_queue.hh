@@ -59,6 +59,14 @@ class EventQueue
 
     std::size_t size() const { return heap_.size(); }
 
+    /**
+     * Rewind the clock to 0. The warmup→measured switch rebases every
+     * requester's clock to 0, so the drained queue must follow or the
+     * first measured completion would schedule "into the past".
+     * Precondition: empty().
+     */
+    void rewind();
+
   private:
     struct Entry
     {

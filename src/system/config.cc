@@ -1,7 +1,6 @@
 #include "system/config.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace cameo
@@ -56,7 +55,6 @@ SystemConfig::orgConfig() const
     oc.banshee.pteCacheEntries = bansheePteCacheEntries;
     oc.timingMode = timingMode;
     oc.queues = dramQueues;
-    assert(oc.validate() == nullptr && "invalid organization config");
     return oc;
 }
 

@@ -164,7 +164,11 @@ struct SystemConfig
     /** Derive per-core generator knobs for @p profile. */
     GeneratorParams generatorParamsFor(const WorkloadProfile &profile) const;
 
-    /** Organization-construction view of this config. */
+    /**
+     * Organization-construction view of this config. Not validated
+     * here: makeOrganization() rejects a bad design point, and front
+     * ends check orgConfigError() before running.
+     */
     OrgConfig orgConfig() const;
 
     /** Total OS-visible capacity when stacked DRAM counts (TLM/CAMEO). */

@@ -282,6 +282,7 @@ System::enterMeasuredRegion()
     // architectural state (LLT, predictors, tags, page tables, heat).
     org_->resetTiming();
     registry_.resetAll();
+    kernel_.events().rewind();
     for (auto &core : cores_)
         core->beginMeasurement(config_.accessesPerCore);
     warmupAccesses_.inc(config_.warmupAccessesPerCore * cores_.size());

@@ -52,6 +52,7 @@ EXPECTED = {
     "conventions/hygiene": "src/core/engine.hh",
     "conventions/hot-path-container": "src/vm/table.hh",
     "conventions/generator-use": "src/exp/top.hh",
+    "conventions/dram-pipeline": "src/core/controller.cc",
     "suppression/missing-justification": "src/core/clocky.hh",
     "suppression/unused": "src/stray/thing.hh",
 }

@@ -5,16 +5,19 @@
  * magically enlarged by the stacked capacity. The suite pins the three
  * properties that make it the bound — the OS sees stacked + off-chip
  * bytes, capacity-limited workloads fault less than under a pure
- * cache, and the functional twin tracks the detailed path exactly.
+ * cache, and functional fidelity tracks the detailed path exactly.
+ * DoubleUse is a row of the organization table: an AlloyCacheOrg
+ * built over the enlarged backing store.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "orgs/alloy_cache.hh"
-#include "orgs/double_use.hh"
+#include "orgs/memory_organization.hh"
 #include "snapshot/snapshot.hh"
 #include "system/config.hh"
 #include "system/system.hh"
@@ -36,6 +39,13 @@ smallConfig()
     return c;
 }
 
+/** The AlloyCacheOrg behind the DoubleUse table row. */
+AlloyCacheOrg &
+cacheOf(const std::unique_ptr<MemoryOrganization> &org)
+{
+    return dynamic_cast<AlloyCacheOrg &>(*org);
+}
+
 /** Serialize just the TAD tag array — the cache-architectural state. */
 std::vector<std::uint8_t>
 tagBytes(const AlloyCacheOrg &org)
@@ -50,7 +60,8 @@ tagBytes(const AlloyCacheOrg &org)
 TEST(DoubleUseTest, VisibleBytesIncludeStackedCapacity)
 {
     const OrgConfig c = smallConfig();
-    DoubleUseOrg dbl(c);
+    const auto built = makeOrganization(OrgKind::DoubleUse, c);
+    const AlloyCacheOrg &dbl = cacheOf(built);
     AlloyCacheOrg cache(c, c.offchipBytes);
     // The cache hides the stacked DRAM from the OS; DoubleUse exposes
     // it as extra main memory while keeping the cache.
@@ -68,7 +79,8 @@ TEST(DoubleUseTest, VisibleBytesIncludeStackedCapacity)
 TEST(DoubleUseTest, CacheGeometryUnchangedByEnlargedBacking)
 {
     const OrgConfig c = smallConfig();
-    DoubleUseOrg dbl(c);
+    const auto built = makeOrganization(OrgKind::DoubleUse, c);
+    const AlloyCacheOrg &dbl = cacheOf(built);
     AlloyCacheOrg cache(c, c.offchipBytes);
     // The stacked cache itself is sized by stackedBytes only — the
     // idealism is all in the backing store.
@@ -99,8 +111,10 @@ TEST(DoubleUseTest, CapacityLimitedWorkloadFaultsLessThanCache)
 TEST(DoubleUseTest, FunctionalTwinMatchesDetailedState)
 {
     const OrgConfig c = smallConfig();
-    DoubleUseOrg detailed(c);
-    DoubleUseOrg functional(c);
+    const auto detailed_org = makeOrganization(OrgKind::DoubleUse, c);
+    const auto functional_org = makeOrganization(OrgKind::DoubleUse, c);
+    AlloyCacheOrg &detailed = cacheOf(detailed_org);
+    AlloyCacheOrg &functional = cacheOf(functional_org);
     const std::uint64_t lines =
         detailed.offchipModule().capacityLines();
 
@@ -112,7 +126,7 @@ TEST(DoubleUseTest, FunctionalTwinMatchesDetailedState)
         const InstAddr pc = 0x400000 + rng.next(512) * 4;
         const std::uint32_t core =
             static_cast<std::uint32_t>(rng.next(c.numCores));
-        now += detailed.access(now, line, is_write, pc, core);
+        now = detailed.access(now, line, is_write, pc, core);
         functional.accessFunctional(line, is_write, pc, core);
     }
 

@@ -97,6 +97,36 @@ sectionsOf(const std::vector<std::uint8_t> &blob)
     return out;
 }
 
+/** One row of the differential matrix: a kind plus a CAMEO design point. */
+struct DifferentialCase
+{
+    std::string label;
+    OrgKind kind;
+    LltKind llt = LltKind::CoLocated;
+    PredictorKind predictor = PredictorKind::Llp;
+};
+
+/**
+ * Every organization at its default design point, plus CAMEO under the
+ * other LLT designs and predictors: the controller's one access path
+ * branches on both, so each branch is checked at both fidelities.
+ */
+std::vector<DifferentialCase>
+differentialCases()
+{
+    std::vector<DifferentialCase> cases;
+    for (const auto &[label, kind] : kAllOrgs)
+        cases.push_back({label, kind});
+    cases.push_back({"Cameo/Ideal-LLT", OrgKind::Cameo, LltKind::Ideal});
+    cases.push_back(
+        {"Cameo/Embedded-LLT", OrgKind::Cameo, LltKind::Embedded});
+    cases.push_back({"Cameo/SAM", OrgKind::Cameo, LltKind::CoLocated,
+                     PredictorKind::Sam});
+    cases.push_back({"Cameo/Perfect", OrgKind::Cameo, LltKind::CoLocated,
+                     PredictorKind::Perfect});
+    return cases;
+}
+
 /**
  * The headline per-org differential: a 1-core functional-warmup run
  * must finish with every RunResult field, every registered statistic,
@@ -107,12 +137,14 @@ void
 expectFunctionalMatchesDetailed(TimingMode mode)
 {
     const WorkloadProfile &wl = *findWorkload("milc");
-    for (const auto &[label, kind] : kAllOrgs) {
+    for (const auto &[label, kind, llt, predictor] : differentialCases()) {
         SCOPED_TRACE(label);
 
         SystemConfig functional =
             fidelityConfig(mode, WarmupPolicy::Functional);
         functional.numCores = 1;
+        functional.lltKind = llt;
+        functional.predictorKind = predictor;
         SystemConfig detailed = functional;
         detailed.warmupPolicy = WarmupPolicy::Detailed;
 

@@ -7,15 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "orgs/alloy_cache.hh"
 #include "orgs/baseline.hh"
 #include "orgs/cameo_org.hh"
-#include "orgs/double_use.hh"
+#include "orgs/composed_org.hh"
 #include "orgs/memory_organization.hh"
-#include "orgs/tlm_dynamic.hh"
-#include "orgs/tlm_freq.hh"
-#include "orgs/tlm_oracle.hh"
-#include "orgs/tlm_static.hh"
+#include "orgs/policy/epoch_freq_placement.hh"
 #include "util/rng.hh"
 
 namespace cameo
@@ -35,6 +38,13 @@ smallConfig()
     return c;
 }
 
+/** The ComposedOrg driver behind a page-granular table row. */
+ComposedOrg &
+composedOf(const std::unique_ptr<MemoryOrganization> &org)
+{
+    return dynamic_cast<ComposedOrg &>(*org);
+}
+
 TEST(OrgFactoryTest, BuildsEveryKind)
 {
     const OrgConfig c = smallConfig();
@@ -43,6 +53,111 @@ TEST(OrgFactoryTest, BuildsEveryKind)
         ASSERT_NE(org, nullptr) << orgKindName(kind);
         EXPECT_FALSE(org->name().empty());
         EXPECT_GT(org->visibleBytes(), 0u);
+    }
+}
+
+/** One way to break a valid OrgConfig, named for failure messages. */
+struct BrokenField
+{
+    const char *what;
+    std::function<void(OrgConfig &)> apply;
+};
+
+/** Every field OrgConfig::validate() guards, each broken once. */
+const std::vector<BrokenField> &
+brokenFields()
+{
+    static const std::vector<BrokenField> fields = {
+        {"stackedBytes = 0", [](OrgConfig &c) { c.stackedBytes = 0; }},
+        {"stackedBytes not whole pages",
+         [](OrgConfig &c) { c.stackedBytes += kLineBytes; }},
+        {"offchipBytes not whole pages",
+         [](OrgConfig &c) { c.offchipBytes += kLineBytes; }},
+        {"numCores = 0", [](OrgConfig &c) { c.numCores = 0; }},
+        {"llt.llpTableEntries = 0",
+         [](OrgConfig &c) { c.llt.llpTableEntries = 0; }},
+        {"freq.epochAccesses = 0",
+         [](OrgConfig &c) { c.freq.epochAccesses = 0; }},
+        {"migrate.victimProbes = 0",
+         [](OrgConfig &c) { c.migrate.victimProbes = 0; }},
+        {"migrate.migrateThreshold = 0",
+         [](OrgConfig &c) { c.migrate.migrateThreshold = 0; }},
+        {"banshee.sampleRate = 0",
+         [](OrgConfig &c) { c.banshee.sampleRate = 0; }},
+        {"banshee.victimProbes = 0",
+         [](OrgConfig &c) { c.banshee.victimProbes = 0; }},
+        {"banshee.pteCacheEntries = 48",
+         [](OrgConfig &c) { c.banshee.pteCacheEntries = 48; }},
+    };
+    return fields;
+}
+
+/** makeOrganization throws std::invalid_argument carrying the reason. */
+void
+expectRejected(OrgKind kind, const OrgConfig &c, const std::string &what)
+{
+    const char *reason = orgConfigError(kind, c);
+    ASSERT_NE(reason, nullptr) << orgKindName(kind) << " / " << what;
+    try {
+        (void)makeOrganization(kind, c);
+        ADD_FAILURE() << orgKindName(kind) << " built with " << what;
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(OrgFactoryTest, RejectsEveryInvalidFieldForEveryKind)
+{
+    for (const OrgKind kind : allOrgKinds()) {
+        EXPECT_EQ(orgConfigError(kind, smallConfig()), nullptr)
+            << orgKindName(kind);
+        for (const BrokenField &field : brokenFields()) {
+            OrgConfig c = smallConfig();
+            field.apply(c);
+            expectRejected(kind, c, field.what);
+        }
+    }
+}
+
+TEST(OrgFactoryTest, EnforcesPerKindPreconditions)
+{
+    const auto is_cameo = [](OrgKind kind) {
+        return kind == OrgKind::Cameo || kind == OrgKind::CameoFreq;
+    };
+    // Geometries only the CAMEO family's congruence groups reject: a
+    // non-power-of-two stacked line count, a fractional capacity
+    // ratio, and more than 16 lines per group.
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> cameo_bad = {
+        {3 << 20, 6 << 20},
+        {1 << 20, (5 << 20) / 2},
+        {64 << 10, 1 << 20},
+    };
+    for (const OrgKind kind : allOrgKinds()) {
+        for (const auto &[stacked, offchip] : cameo_bad) {
+            OrgConfig c = smallConfig();
+            c.stackedBytes = stacked;
+            c.offchipBytes = offchip;
+            const std::string what = "stacked " + std::to_string(stacked) +
+                                     " / off-chip " + std::to_string(offchip);
+            if (is_cameo(kind))
+                expectRejected(kind, c, what);
+            else
+                EXPECT_NE(makeOrganization(kind, c), nullptr) << what;
+        }
+
+        // Only DoubleUse, whose backing store includes the stacked
+        // capacity, runs without off-chip memory.
+        OrgConfig no_offchip = smallConfig();
+        no_offchip.offchipBytes = 0;
+        if (kind != OrgKind::DoubleUse) {
+            expectRejected(kind, no_offchip, "offchipBytes = 0");
+            continue;
+        }
+        const auto org = makeOrganization(kind, no_offchip);
+        EXPECT_EQ(org->visibleBytes(), no_offchip.stackedBytes);
+        org->access(0, 1, false, 0x400, 0);
+        org->accessFunctional(2, true, 0x400, 1);
     }
 }
 
@@ -145,7 +260,8 @@ TEST(AlloyCacheTest, DirtyVictimWrittenBack)
 
 TEST(TlmStaticTest, RoutesByDevicePage)
 {
-    TlmStaticOrg org(smallConfig());
+    const auto built = makeOrganization(OrgKind::TlmStatic, smallConfig());
+    ComposedOrg &org = composedOf(built);
     // Device pages below stackedPages go to stacked DRAM.
     const LineAddr stacked_line = 3; // page 0
     const LineAddr offchip_line =
@@ -161,7 +277,8 @@ TEST(TlmDynamicTest, MigratesPageAfterThresholdTouches)
 {
     OrgConfig c = smallConfig();
     c.migrate.migrateThreshold = 2;
-    TlmDynamicOrg org(c);
+    const auto built = makeOrganization(OrgKind::TlmDynamic, c);
+    ComposedOrg &org = composedOf(built);
     const PageAddr phys_page = org.stackedPages() + 5; // off-chip
     const LineAddr line = phys_page * kLinesPerPage;
     org.access(0, line, false, 0x400, 0);
@@ -169,7 +286,7 @@ TEST(TlmDynamicTest, MigratesPageAfterThresholdTouches)
     org.access(1000, line + 1, false, 0x400, 0);
     EXPECT_EQ(org.pageMigrations().value(), 1u); // second: migrate
     // The page is now in stacked memory.
-    EXPECT_LT(org.devicePageOfPublic(phys_page), org.stackedPages());
+    EXPECT_LT(org.devicePageOf(phys_page), org.stackedPages());
     // And some stacked page was displaced off-chip (remap stays a
     // bijection: exactly one page out).
     org.access(5000, line + 2, false, 0x400, 0);
@@ -180,7 +297,8 @@ TEST(TlmDynamicTest, SwapBillsSixteenKilobytes)
 {
     OrgConfig c = smallConfig();
     c.migrate.migrateThreshold = 1;
-    TlmDynamicOrg org(c);
+    const auto built = makeOrganization(OrgKind::TlmDynamic, c);
+    ComposedOrg &org = composedOf(built);
     const PageAddr phys_page = org.stackedPages() + 5;
     const LineAddr line = phys_page * kLinesPerPage;
     org.access(0, line, false, 0x400, 0);
@@ -198,20 +316,23 @@ TEST(TlmFreqTest, EpochMovesHotPageIn)
 {
     OrgConfig c = smallConfig();
     c.freq.epochAccesses = 64;
-    TlmFreqOrg org(c);
+    const auto built = makeOrganization(OrgKind::TlmFreq, c);
+    ComposedOrg &org = composedOf(built);
+    const auto &freq =
+        dynamic_cast<const EpochFrequencyPlacement &>(org.placementPolicy());
     const PageAddr hot = org.stackedPages() + 9; // starts off-chip
     for (int i = 0; i < 64; ++i)
         org.access(i * 100, hot * kLinesPerPage + (i % 8), false, 0x400,
                    0);
-    EXPECT_EQ(org.epochs().value(), 1u);
-    EXPECT_LT(org.devicePageOfPublic(hot), org.stackedPages());
+    EXPECT_EQ(freq.epochs().value(), 1u);
+    EXPECT_LT(org.devicePageOf(hot), org.stackedPages());
     EXPECT_GT(org.pageMigrations().value(), 0u);
 }
 
 TEST(TlmOracleTest, HotPagePlacedInStackedAtMapTime)
 {
-    OrgConfig c = smallConfig();
-    TlmOracleOrg org(c);
+    const auto built = makeOrganization(OrgKind::TlmOracle, smallConfig());
+    ComposedOrg &org = composedOf(built);
     PageHeatMap heat;
     heat[pageHeatKey(0, 0x100)] = 1000; // hot virtual page
     heat[pageHeatKey(0, 0x200)] = 1;    // cold
@@ -222,7 +343,7 @@ TEST(TlmOracleTest, HotPagePlacedInStackedAtMapTime)
     const auto off_frame =
         static_cast<std::uint32_t>(org.stackedPages() + 3);
     org.onPageMapped(off_frame, 0, 0x100);
-    EXPECT_LT(org.devicePageOfPublic(off_frame), org.stackedPages());
+    EXPECT_LT(org.devicePageOf(off_frame), org.stackedPages());
     EXPECT_EQ(org.pageMigrations().value(), 0u); // oracular: free
 
     // A cold page maps off-chip and stays there (all stacked slots
@@ -232,7 +353,7 @@ TEST(TlmOracleTest, HotPagePlacedInStackedAtMapTime)
         static_cast<std::uint32_t>(org.stackedPages() + 4);
     org.onPageMapped(off_frame2, 0, 0x200);
     // 0x200 (heat 1) displaces a zero-heat identity page, not 0x100.
-    EXPECT_LT(org.devicePageOfPublic(off_frame), org.stackedPages());
+    EXPECT_LT(org.devicePageOf(off_frame), org.stackedPages());
 }
 
 TEST(CameoOrgTest, VariantNames)

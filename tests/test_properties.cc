@@ -15,7 +15,7 @@
 #include "core/cameo_controller.hh"
 #include "core/congruence_group.hh"
 #include "core/line_location_table.hh"
-#include "orgs/tlm_dynamic.hh"
+#include "orgs/composed_org.hh"
 #include "system/config.hh"
 #include "system/system.hh"
 #include "util/rng.hh"
@@ -134,7 +134,8 @@ TEST(TlmPropertyTest, RemapStaysBijective)
     c.stackedBytes = 256 << 10;
     c.offchipBytes = 768 << 10;
     c.migrate.migrateThreshold = 1;
-    TlmDynamicOrg org(c);
+    const auto built = makeOrganization(OrgKind::TlmDynamic, c);
+    ComposedOrg &org = dynamic_cast<ComposedOrg &>(*built);
     Rng rng(11);
     const std::uint64_t lines = org.visibleBytes() / kLineBytes;
     Tick now = 0;
@@ -145,7 +146,7 @@ TEST(TlmPropertyTest, RemapStaysBijective)
     // phys -> device must be a bijection.
     std::set<std::uint64_t> devices;
     for (PageAddr p = 0; p < org.totalPages(); ++p)
-        ASSERT_TRUE(devices.insert(org.devicePageOfPublic(p)).second);
+        ASSERT_TRUE(devices.insert(org.devicePageOf(p)).second);
     EXPECT_EQ(devices.size(), org.totalPages());
     EXPECT_EQ(*devices.rbegin(), org.totalPages() - 1);
 }

@@ -10,8 +10,9 @@ ported onto the shared lexer so one tool owns repo conventions.
   conventions/hygiene           tabs, trailing whitespace, final newline
   conventions/hot-path-container  std hash containers in src/vm,
                                 src/orgs (use util/flat_map.hh)
-  conventions/dram-pipeline     direct DramModule::access in pipeline
-                                layers (use DramModule::request)
+  conventions/dram-pipeline     direct DramModule::access or ::request
+                                in pipeline layers (use charge(), the
+                                one DRAM charge point)
   conventions/generator-use     direct SyntheticGenerator in sweep or
                                 bench code (use TraceArenaCache)
 """
@@ -71,22 +72,25 @@ HASH_MAP_INCLUDE_RE = re.compile(
     r"^\s*#\s*include\s*<(unordered_map|unordered_set)>"
 )
 
-# Layers that must reach DRAM devices through DramModule::request (the
-# transaction pipeline's entry point) rather than the blocking
-# DramModule::access shim.
+# Layers that must bill DRAM devices through charge() in
+# dram/dram_module.hh -- the one place that decides "Functional bills
+# nothing" -- rather than calling DramModule::request (the transaction
+# pipeline's entry point) or the blocking DramModule::access shim.
 DRAM_PIPELINE_DIRS = ("src/orgs", "src/core", "src/system")
 
-# Pipeline-layer files allowed to call DramModule::access directly
-# (none today; the blocking shim lives in src/dram and is out of
-# scope).  Add "src/orgs/foo.cc" style paths here.
+# Pipeline-layer files allowed to call DramModule::access/request
+# directly (none today; both live in src/dram and are out of scope).
+# Add "src/orgs/foo.cc" style paths here.
 DRAM_ACCESS_ALLOWLIST: set[str] = set()
 
-# DRAM modules are uniformly named stacked_/offchip_ or reached via the
-# stackedModule()/offchipModule() accessors; match .access( on any of
+# DRAM modules are uniformly named stacked_/offchip_ (offchip when
+# passed by reference) or reached via the stackedModule()/
+# offchipModule() accessors; match .access( or .request( on any of
 # those spellings.
 DRAM_ACCESS_RE = re.compile(
-    r"(?:(?:stacked_|offchip_)\s*\.|stackedModule\(\)\s*->"
-    r"|offchipModule\(\)\s*\.)\s*access\s*\("
+    r"(?:(?<!\w)(?:stacked_|offchip_|offchip)\s*\."
+    r"|stackedModule\(\)\s*->|offchipModule\(\)\s*\.)"
+    r"\s*(?:access|request)\s*\("
 )
 
 # Layers that must obtain access streams from the trace-arena cache
@@ -223,9 +227,9 @@ def _check_dram_pipeline(sf: SourceFile, findings: list[Finding]) -> None:
                     "conventions/dram-pipeline",
                     sf.rel,
                     lineno,
-                    "direct DramModule::access call in pipeline layer; "
-                    "use DramModule::request (or add to "
-                    "DRAM_ACCESS_ALLOWLIST)",
+                    "direct DramModule::access/request call in "
+                    "pipeline layer; bill DRAM through charge() (or add "
+                    "to DRAM_ACCESS_ALLOWLIST)",
                 )
             )
 

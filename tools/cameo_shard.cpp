@@ -239,6 +239,11 @@ main(int argc, char **argv)
             std::cerr << "unknown --orgs entry \"" << name << "\"\n";
             return EXIT_FAILURE;
         }
+        if (const char *err = orgConfigError(*kind, config.orgConfig())) {
+            std::cerr << "error: " << orgKindName(*kind) << ": " << err
+                      << "\n";
+            return EXIT_FAILURE;
+        }
         kinds.push_back(*kind);
     }
     std::vector<SweepJob> sweep_jobs;
