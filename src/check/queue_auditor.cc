@@ -16,13 +16,12 @@ void
 QueueInvariantAuditor::onSubmit(std::uint64_t id, Tick tick)
 {
     ++submits_;
-    const auto [it, inserted] = outstanding_.emplace(id, tick);
-    static_cast<void>(it);
-    if (!inserted) {
+    if (outstanding_.contains(id)) {
         report("pipeline: request id " + std::to_string(id) +
                " submitted twice (still outstanding)");
         return;
     }
+    outstanding_[id] = tick;
     if (occupancyBound_ != 0 && outstanding_.size() > occupancyBound_) {
         report("pipeline: " + std::to_string(outstanding_.size()) +
                " requests outstanding, exceeding the bound of " +
@@ -57,7 +56,7 @@ QueueInvariantAuditor::onComplete(std::uint64_t id, Tick tick, bool ordered)
         lastDeliveryTick_ = tick;
         delivered_ = true;
     }
-    outstanding_.erase(it);
+    outstanding_.erase(id);
 }
 
 void

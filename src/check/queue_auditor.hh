@@ -28,9 +28,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "check/audit.hh"
+#include "util/flat_map.hh"
 #include "util/types.hh"
 
 namespace cameo
@@ -97,7 +97,8 @@ class QueueInvariantAuditor
     /** Report one violation to the sink. */
     void report(const std::string &what);
 
-    std::unordered_map<std::uint64_t, Tick> outstanding_;
+    /** Open-addressing, so steady-state submits never allocate. */
+    FlatMap<std::uint64_t, Tick> outstanding_;
     bool monotonicDelivery_ = false;
     std::size_t occupancyBound_ = 0;
     Tick lastDeliveryTick_ = 0;

@@ -180,8 +180,13 @@ DramModule::setTimingMode(TimingMode mode, const DramQueueConfig &queues)
     mode_ = mode;
     queueCfg_ = queues;
     queued_.clear();
-    if (mode_ == TimingMode::Queued)
+    if (mode_ == TimingMode::Queued) {
         queued_.resize(channels_.size());
+        for (QueuedChannel &qc : queued_) {
+            qc.inServiceReads.reset(queues.readWindow);
+            qc.writeQueue.reserve(queues.drainHighWatermark);
+        }
+    }
 }
 
 Tick
@@ -199,7 +204,7 @@ DramModule::queuedRequest(Tick now, std::uint64_t device_line,
         writes_.inc();
         writeBytes_.inc(burst_bytes);
         writeQueueDepth_.sample(qc.writeQueue.size());
-        qc.writeQueue.push_back(QueuedWrite{device_line, burst_bytes});
+        qc.writeQueue.push_back(QueuedWrite{device_line, burst_bytes, coord});
         CAMEO_AUDIT(qc.writeQueue.size() <= queueCfg_.drainHighWatermark,
                     "write queue grew past the drain high watermark");
         if (qc.writeQueue.size() >= queueCfg_.drainHighWatermark) {
@@ -246,6 +251,8 @@ DramModule::queuedRequest(Tick now, std::uint64_t device_line,
     CAMEO_AUDIT(qc.inServiceReads.empty() ||
                     done >= qc.inServiceReads.back(),
                 "in-service read completions are out of order");
+    CAMEO_AUDIT(qc.inServiceReads.size() < queueCfg_.readWindow,
+                "in-service read ring would exceed the read window");
     qc.inServiceReads.push_back(done);
     return done;
 }
@@ -263,7 +270,7 @@ DramModule::drainWrites(Tick now, std::uint32_t chan_idx,
         // first; with no open-row match, strict arrival order.
         std::size_t pick = 0;
         for (std::size_t i = 0; i < qc.writeQueue.size(); ++i) {
-            const DramCoord c = map_.decode(qc.writeQueue[i].line);
+            const DramCoord &c = qc.writeQueue[i].coord;
             if (chan.banks[c.bank].openRow == c.row) {
                 pick = i;
                 break;
@@ -272,10 +279,11 @@ DramModule::drainWrites(Tick now, std::uint32_t chan_idx,
         const QueuedWrite write = qc.writeQueue[pick];
         CAMEO_AUDIT(pick < qc.writeQueue.size(),
                     "FR-FCFS picked a write outside the queue");
+        CAMEO_AUDIT(write.coord == map_.decode(write.line),
+                    "drained write's cached coordinate is stale");
         qc.writeQueue.erase(qc.writeQueue.begin() +
                             static_cast<std::ptrdiff_t>(pick));
-        const DramCoord coord = map_.decode(write.line);
-        last_done = serviceCommand(now, coord, write.burstBytes);
+        last_done = serviceCommand(now, write.coord, write.burstBytes);
         drainedWrites_.inc();
     }
     return last_done;
@@ -382,8 +390,8 @@ DramModule::save(SnapshotWriter &w) const
     if (mode_ == TimingMode::Queued) {
         for (const QueuedChannel &qc : queued_) {
             w.u64(qc.inServiceReads.size());
-            for (Tick t : qc.inServiceReads)
-                w.u64(t);
+            for (std::size_t i = 0; i < qc.inServiceReads.size(); ++i)
+                w.u64(qc.inServiceReads[i]);
             w.u64(qc.writeQueue.size());
             for (const QueuedWrite &qw : qc.writeQueue) {
                 w.u64(qw.line);
@@ -435,10 +443,19 @@ DramModule::restore(SnapshotReader &r)
         }
     }
     if (queued) {
-        for (QueuedChannel &qc : queued_) {
+        for (std::uint32_t c = 0; c < nChannels; ++c) {
+            QueuedChannel &qc = queued_[c];
             const std::uint64_t nReads = r.u64();
+            if (nReads > qc.inServiceReads.capacity()) {
+                r.fail("dram: '" + name_ + "' snapshot holds " +
+                       std::to_string(nReads) +
+                       " in-service reads, more than the read window of " +
+                       std::to_string(qc.inServiceReads.capacity()));
+                return;
+            }
             qc.inServiceReads.clear();
-            Tick prev = 0;
+            // Read only by the audit below.
+            [[maybe_unused]] Tick prev = 0;
             for (std::uint64_t i = 0; i < nReads && r.ok(); ++i) {
                 const Tick t = r.u64();
                 // Restored windows must honor the invariant the live
@@ -455,6 +472,12 @@ DramModule::restore(SnapshotReader &r)
                 QueuedWrite qw;
                 qw.line = r.u64();
                 qw.burstBytes = r.u32();
+                // The coordinate is derived state, so it is re-decoded
+                // rather than stored; drainWrites() audits it again.
+                qw.coord = map_.decode(qw.line);
+                CAMEO_AUDIT(qw.coord.channel == c,
+                            "dram: restored write sits in another "
+                            "channel's write buffer");
                 qc.writeQueue.push_back(qw);
             }
             // Restored queues must honor the same bound the live

@@ -27,7 +27,6 @@
 #ifndef CAMEO_DRAM_DRAM_MODULE_HH
 #define CAMEO_DRAM_DRAM_MODULE_HH
 
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -203,11 +202,74 @@ class DramModule
     void restore(SnapshotReader &r);
 
   private:
-    /** One buffered (posted) write awaiting drain. */
+    /**
+     * One buffered (posted) write awaiting drain. The coordinate is
+     * decoded once at enqueue (and re-decoded by restore()), so the
+     * FR-FCFS scan never re-decodes the buffer.
+     */
     struct QueuedWrite
     {
         std::uint64_t line;
         std::uint32_t burstBytes;
+        DramCoord coord;
+    };
+
+    /**
+     * Fixed ring of in-service read completion ticks, oldest at the
+     * front: the deque subset the controller uses, over storage sized
+     * once to the read window, so enqueueing never allocates.
+     */
+    class ReadRing
+    {
+      public:
+        /** Empty the ring and size its storage to @p capacity. */
+        void reset(std::size_t capacity)
+        {
+            slots_.assign(capacity, 0);
+            head_ = 0;
+            size_ = 0;
+        }
+
+        bool empty() const { return size_ == 0; }
+        std::size_t size() const { return size_; }
+        std::size_t capacity() const { return slots_.size(); }
+        Tick front() const { return slots_[head_]; }
+        Tick back() const { return (*this)[size_ - 1]; }
+        /** The @p i-th oldest entry. */
+        Tick operator[](std::size_t i) const
+        {
+            return slots_[wrap(head_ + i)];
+        }
+
+        void pop_front()
+        {
+            head_ = wrap(head_ + 1);
+            --size_;
+        }
+
+        /** Precondition: size() < capacity(). */
+        void push_back(Tick t)
+        {
+            slots_[wrap(head_ + size_)] = t;
+            ++size_;
+        }
+
+        void clear()
+        {
+            head_ = 0;
+            size_ = 0;
+        }
+
+      private:
+        /** Index modulo capacity for @p i < 2 * capacity. */
+        std::size_t wrap(std::size_t i) const
+        {
+            return i >= slots_.size() ? i - slots_.size() : i;
+        }
+
+        std::vector<Tick> slots_;
+        std::size_t head_ = 0;
+        std::size_t size_ = 0;
     };
 
     /** Queued-mode controller state of one channel. */
@@ -215,9 +277,10 @@ class DramModule
     {
         /** Completion ticks of in-service reads (bus-serialized, so
          *  nondecreasing; the front is the oldest). */
-        std::deque<Tick> inServiceReads;
+        ReadRing inServiceReads;
 
-        /** Posted writes awaiting an FR-FCFS drain. */
+        /** Posted writes awaiting an FR-FCFS drain; capacity reserved
+         *  to the drain high watermark, which bounds it. */
         std::vector<QueuedWrite> writeQueue;
     };
 

@@ -1,5 +1,6 @@
 #include "orgs/memory_organization.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
 #include <iterator>
@@ -44,8 +45,7 @@ MemoryOrganization::submit(Tick now, LineAddr line, bool is_write,
 #endif
     if (timingMode_ == TimingMode::Queued && events_ != nullptr &&
         client != nullptr) {
-        inflight_.push_back({req, done, client});
-        scheduleCompletion(req, done, client);
+        scheduleCompletion(admitInflight({req, done, client}));
         return done;
     }
 #if CAMEO_AUDIT_ENABLED
@@ -56,35 +56,69 @@ MemoryOrganization::submit(Tick now, LineAddr line, bool is_write,
     return done;
 }
 
-void
-MemoryOrganization::scheduleCompletion(const MemRequest &req, Tick done,
-                                       MemClient *client)
+std::uint32_t
+MemoryOrganization::admitInflight(const InflightRequest &f)
 {
-    events_->schedule(done, [this, req, client](Tick when) {
-        // Retire from the in-flight registry before delivery so a
-        // snapshot taken from inside the callback (not a supported
-        // call site, but cheap to get right) never replays this
-        // completion.
-        for (std::size_t i = 0; i < inflight_.size(); ++i) {
-            if (inflight_[i].req.id == req.id) {
-                inflight_.erase(inflight_.begin() +
-                                static_cast<std::ptrdiff_t>(i));
-                break;
-            }
-        }
-#if CAMEO_AUDIT_ENABLED
-        queueAudit_.onComplete(req.id, when);
-#endif
-        client->onMemComplete(req, when);
+    if (freeInflight_.empty()) {
+        inflight_.push_back(f);
+        return static_cast<std::uint32_t>(inflight_.size() - 1);
+    }
+    const std::uint32_t slot = freeInflight_.back();
+    freeInflight_.pop_back();
+    inflight_[slot] = f;
+    return slot;
+}
+
+void
+MemoryOrganization::scheduleCompletion(std::uint32_t slot)
+{
+    events_->schedule(inflight_[slot].done, [this, slot](Tick when) {
+        completeInflight(slot, when);
     });
+}
+
+void
+MemoryOrganization::completeInflight(std::uint32_t slot, Tick when)
+{
+    // Retire from the in-flight registry before delivery so a snapshot
+    // taken from inside the callback (not a supported call site, but
+    // cheap to get right) never replays this completion.
+    const MemRequest req = inflight_[slot].req;
+    MemClient *const client = inflight_[slot].client;
+    inflight_[slot].req.id = kFreeSlotId;
+    freeInflight_.push_back(slot);
+#if CAMEO_AUDIT_ENABLED
+    queueAudit_.onComplete(req.id, when);
+#endif
+    client->onMemComplete(req, when);
+}
+
+std::vector<std::uint32_t>
+MemoryOrganization::inflightById() const
+{
+    std::vector<std::uint32_t> live;
+    live.reserve(inflightCount());
+    for (std::uint32_t s = 0; s < inflight_.size(); ++s) {
+        if (inflight_[s].req.id != kFreeSlotId)
+            live.push_back(s);
+    }
+    std::sort(live.begin(), live.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                  return inflight_[a].req.id < inflight_[b].req.id;
+              });
+    return live;
 }
 
 void
 MemoryOrganization::save(SnapshotWriter &w) const
 {
+    // Request-id order is submission order: the byte image is the one
+    // a submission-ordered registry would write.
+    const std::vector<std::uint32_t> live = inflightById();
     w.u64(lastRequestId_);
-    w.u64(inflight_.size());
-    for (const InflightRequest &f : inflight_) {
+    w.u64(live.size());
+    for (const std::uint32_t s : live) {
+        const InflightRequest &f = inflight_[s];
         w.u64(f.req.id);
         w.u64(f.req.tag);
         w.u64(f.req.line);
@@ -105,6 +139,7 @@ MemoryOrganization::restore(SnapshotReader &r)
     lastRequestId_ = r.u64();
     const std::uint64_t n = r.u64();
     inflight_.clear();
+    freeInflight_.clear();
     for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
         InflightRequest f;
         f.req.id = r.u64();
@@ -115,6 +150,10 @@ MemoryOrganization::restore(SnapshotReader &r)
         f.req.core = r.u32();
         f.req.issueTick = r.u64();
         f.done = r.u64();
+        if (f.req.id == kFreeSlotId) {
+            r.fail("org: snapshot carries an in-flight request with id 0");
+            return;
+        }
         inflight_.push_back(f);
     }
     if (r.ok() && !inflight_.empty() &&
@@ -138,16 +177,16 @@ void
 MemoryOrganization::rescheduleInflight(
     const std::function<MemClient *(std::uint32_t)> &client_of)
 {
-    if (inflight_.empty())
+    if (inflightCount() == 0)
         return;
     assert(events_ != nullptr &&
            "bind the event queue before rescheduling");
-    // Submission order reproduces the original scheduling order, so
-    // same-tick completions keep their FIFO sequence numbers.
-    for (InflightRequest &f : inflight_) {
-        f.client = client_of(f.req.core);
-        assert(f.client != nullptr);
-        scheduleCompletion(f.req, f.done, f.client);
+    // Submission (= id) order reproduces the original scheduling order,
+    // so same-tick completions keep their FIFO sequence numbers.
+    for (const std::uint32_t s : inflightById()) {
+        inflight_[s].client = client_of(inflight_[s].req.core);
+        assert(inflight_[s].client != nullptr);
+        scheduleCompletion(s);
     }
 }
 
@@ -170,7 +209,7 @@ MemoryOrganization::applyTimingConfig(const OrgConfig &config)
 void
 MemoryOrganization::resetTiming()
 {
-    assert(inflight_.empty() &&
+    assert(inflightCount() == 0 &&
            "drain in-flight transactions before a timing reset");
     lastRequestId_ = 0;
 #if CAMEO_AUDIT_ENABLED

@@ -275,7 +275,10 @@ class MemoryOrganization : public Checkpointable
         const std::function<MemClient *(std::uint32_t)> &client_of);
 
     /** Number of submitted-but-undelivered requests (Queued mode). */
-    std::size_t inflightCount() const { return inflight_.size(); }
+    std::size_t inflightCount() const
+    {
+        return inflight_.size() - freeInflight_.size();
+    }
 
     const std::string &name() const { return name_; }
 
@@ -316,9 +319,24 @@ class MemoryOrganization : public Checkpointable
         MemClient *client = nullptr; ///< Not serialized; see restore().
     };
 
-    /** Schedule @p client's completion on the bound event queue. */
-    void scheduleCompletion(const MemRequest &req, Tick done,
-                            MemClient *client);
+    /** Request id of a free in-flight slot (submit() numbers from 1). */
+    static constexpr std::uint64_t kFreeSlotId = 0;
+
+    /** Park @p f in a free in-flight slot; returns the slot index. */
+    std::uint32_t admitInflight(const InflightRequest &f);
+
+    /**
+     * Schedule the completion of the request in @p slot on the bound
+     * event queue. The callback captures only `{this, slot}`, which
+     * std::function stores inline, so scheduling never allocates.
+     */
+    void scheduleCompletion(std::uint32_t slot);
+
+    /** Retire @p slot and deliver its completion at @p when. */
+    void completeInflight(std::uint32_t slot, Tick when);
+
+    /** Live in-flight slots in request-id (= submission) order. */
+    std::vector<std::uint32_t> inflightById() const;
 
     std::string name_;
     TimingMode timingMode_ = TimingMode::Blocking;
@@ -326,11 +344,15 @@ class MemoryOrganization : public Checkpointable
     std::uint64_t lastRequestId_ = 0;
 
     /**
-     * Submission-ordered registry of queued, undelivered requests —
-     * the serializable image of the kernel's pending completion
-     * events. Empty in Blocking mode.
+     * Slot pool of queued, undelivered requests — the serializable
+     * image of the kernel's pending completion events. A completion
+     * frees its slot for reuse, so slot order is not submission order;
+     * save() and rescheduleInflight() sort live slots by request id.
+     * Empty in Blocking mode.
      */
     std::vector<InflightRequest> inflight_;
+    /** Free slots of inflight_ (reused LIFO). */
+    std::vector<std::uint32_t> freeInflight_;
 
 #if CAMEO_AUDIT_ENABLED
     /** Shadow accounting of every submitted transaction. */

@@ -3,18 +3,27 @@
  * A minimal discrete-event queue.
  *
  * The main simulation loop (SimKernel) advances core agents by local
- * clock, but a few components want to schedule deferred callbacks (e.g.
- * epoch-based page migration in TLM-Freq, delayed stat snapshots in
- * tests). EventQueue provides that: (tick, sequence)-ordered callbacks
+ * clock; the one component that schedules deferred callbacks is the
+ * Queued-timing memory pipeline, whose completions
+ * (MemoryOrganization::submit) are delivered at their device completion
+ * tick. EventQueue provides that: (tick, sequence)-ordered callbacks
  * with deterministic FIFO tie-breaking.
+ *
+ * The queue is allocation-free in steady state (DESIGN.md §8): heap
+ * entries are 24-byte PODs that name a slot in a callback pool, freed
+ * slots are reused, and runOne() moves the callback out of its slot
+ * rather than copying it. A callback whose captures fit std::function's
+ * inline buffer (16 bytes in libstdc++, e.g. `{this, slot}`) therefore
+ * never touches the heap once the pool and the heap have grown to the
+ * run's peak occupancy.
  */
 
 #ifndef CAMEO_SIM_EVENT_QUEUE_HH
 #define CAMEO_SIM_EVENT_QUEUE_HH
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/types.hh"
@@ -43,7 +52,12 @@ class EventQueue
     bool empty() const { return heap_.empty(); }
 
     /** Tick of the earliest pending event. Precondition: !empty(). */
-    Tick nextTick() const;
+    Tick
+    nextTick() const
+    {
+        assert(!heap_.empty());
+        return heap_.front().when;
+    }
 
     /** Tick of the most recently executed event (0 before any). */
     Tick curTick() const { return curTick_; }
@@ -68,25 +82,28 @@ class EventQueue
     void rewind();
 
   private:
+    /** Heap key plus the callback's pool slot. */
     struct Entry
     {
         Tick when;
         std::uint64_t seq;
-        Callback cb;
+        std::uint32_t slot;
     };
 
-    struct Later
+    /** Max-heap comparator that puts the earliest (when, seq) on top. */
+    static bool
+    later(const Entry &a, const Entry &b)
     {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
+        if (a.when != b.when)
+            return a.when > b.when;
+        return a.seq > b.seq;
+    }
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+    std::vector<Entry> heap_;
+    /** Callback pool indexed by Entry::slot. */
+    std::vector<Callback> slots_;
+    /** Pool slots whose callbacks have run (reused LIFO). */
+    std::vector<std::uint32_t> freeSlots_;
     std::uint64_t nextSeq_ = 0;
     Tick curTick_ = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
 
 namespace cameo
 {
@@ -14,15 +13,48 @@ SimKernel::addAgent(Agent *agent)
     agents_.push_back(agent);
 }
 
+namespace
+{
+
+/** One dispatch-heap entry: an agent's index and its key tick. */
+struct DispatchKey
+{
+    Tick tick;
+    std::size_t index;
+};
+
+/** (tick, index) order: true when @p a dispatches before @p b. */
+bool
+dispatchesBefore(const DispatchKey &a, const DispatchKey &b)
+{
+    if (a.tick != b.tick)
+        return a.tick < b.tick;
+    return a.index < b.index;
+}
+
+/** Max-heap comparator that puts the first key to dispatch on top. */
+bool
+dispatchesAfter(const DispatchKey &a, const DispatchKey &b)
+{
+    return dispatchesBefore(b, a);
+}
+
+} // namespace
+
 Tick
 SimKernel::run(std::uint64_t max_steps, const std::function<bool()> &stop)
 {
     // Lazy-update binary heap keyed by (tick, agent index): after an
     // agent steps, push a fresh entry; stale entries are skipped when
     // their stored tick no longer matches the agent's current tick.
-    using HeapEntry = std::pair<Tick, std::size_t>;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<>> heap;
+    // Every key is unique (an agent holds at most one entry), so the
+    // dispatch order is a function of the keys alone.
+    std::vector<DispatchKey> heap;
+    heap.reserve(agents_.size());
+    const auto push = [&heap](Tick tick, std::size_t idx) {
+        heap.push_back(DispatchKey{tick, idx});
+        std::push_heap(heap.begin(), heap.end(), dispatchesAfter);
+    };
 
     // Agents parked on a deferred completion (blocked() == true). An
     // agent can already be blocked here when this run() continues a
@@ -36,7 +68,7 @@ SimKernel::run(std::uint64_t max_steps, const std::function<bool()> &stop)
         if (agents_[i]->blocked())
             parked.push_back(i);
         else
-            heap.emplace(agents_[i]->nextReadyTick(), i);
+            push(agents_[i]->nextReadyTick(), i);
     }
 
     stepsExecuted_ = 0;
@@ -50,20 +82,20 @@ SimKernel::run(std::uint64_t max_steps, const std::function<bool()> &stop)
         for (std::size_t i = parked.size(); i-- > 0;) {
             const std::size_t idx = parked[i];
             if (!agents_[idx]->blocked()) {
-                heap.emplace(agents_[idx]->nextReadyTick(), idx);
+                push(agents_[idx]->nextReadyTick(), idx);
                 parked[i] = parked.back();
                 parked.pop_back();
             }
         }
     };
 
-    while (stepsExecuted_ < max_steps) {
+    while (stepsExecuted_ < max_steps && !stoppedEarly_) {
         // Deliver completions due at or before the next dispatch so
         // deliveries and steps interleave in global-time order. With
         // no pending events (Blocking timing) this whole block is a
         // no-op and the loop reduces to the legacy dispatch loop.
         if (!events_.empty() &&
-            (heap.empty() || events_.nextTick() <= heap.top().first)) {
+            (heap.empty() || events_.nextTick() <= heap.front().tick)) {
             events_.runOne();
             unpark();
             continue;
@@ -75,37 +107,57 @@ SimKernel::run(std::uint64_t max_steps, const std::function<bool()> &stop)
                         "kernel: agents parked with no pending event");
             break;
         }
-        auto [tick, idx] = heap.top();
-        heap.pop();
-        Agent *agent = agents_[idx];
+        std::pop_heap(heap.begin(), heap.end(), dispatchesAfter);
+        DispatchKey key = heap.back();
+        heap.pop_back();
+        Agent *agent = agents_[key.index];
         if (agent->done())
             continue;
         if (agent->blocked())
             continue; // stale entry; the agent is tracked in `parked`
-        if (agent->nextReadyTick() != tick) {
+        if (agent->nextReadyTick() != key.tick) {
             // Stale entry; reinsert with the current key.
-            heap.emplace(agent->nextReadyTick(), idx);
+            push(agent->nextReadyTick(), key.index);
             continue;
         }
+        // Step the agent, then keep stepping it while its fresh key
+        // would be popped straight back: first in (tick, index) order
+        // and strictly before the next event (an event at the same
+        // tick fires first). That is exactly the dispatch the heap
+        // round trip would make, so the order is unchanged.
+        for (;;) {
 #if CAMEO_AUDIT_ENABLED
-        auditor_.onDispatch(idx, tick);
+            auditor_.onDispatch(key.index, key.tick);
 #endif
-        agent->step();
-        ++stepsExecuted_;
+            agent->step();
+            ++stepsExecuted_;
 #if CAMEO_AUDIT_ENABLED
-        auditor_.onStepped(idx, tick, agent->nextReadyTick());
+            auditor_.onStepped(key.index, key.tick, agent->nextReadyTick());
 #endif
-        if (!agent->done()) {
-            if (agent->blocked())
-                parked.push_back(idx);
-            else
-                heap.emplace(agent->nextReadyTick(), idx);
-        }
-        if (stop && stop()) {
-            // Checkpoint stop: leave pending events and agent state
-            // exactly mid-flight; a snapshot (or a later run()) picks
-            // up from here.
-            stoppedEarly_ = true;
+            bool runnable = false;
+            if (!agent->done()) {
+                if (agent->blocked()) {
+                    parked.push_back(key.index);
+                } else {
+                    runnable = true;
+                    key.tick = agent->nextReadyTick();
+                }
+            }
+            if (stop && stop()) {
+                // Checkpoint stop: leave pending events and agent state
+                // exactly mid-flight; a snapshot (or a later run())
+                // picks up from here.
+                stoppedEarly_ = true;
+                break;
+            }
+            if (!runnable)
+                break;
+            if (stepsExecuted_ < max_steps &&
+                (heap.empty() || dispatchesBefore(key, heap.front())) &&
+                (events_.empty() || key.tick < events_.nextTick())) {
+                continue;
+            }
+            push(key.tick, key.index);
             break;
         }
     }

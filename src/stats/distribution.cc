@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/bitops.hh"
+
 namespace cameo
 {
 
@@ -10,26 +12,13 @@ Distribution::Distribution(std::string name, std::string desc,
                            std::uint64_t bucket_width,
                            std::size_t num_buckets)
     : name_(std::move(name)), desc_(std::move(desc)),
-      bucketWidth_(bucket_width)
+      bucketWidth_(bucket_width),
+      bucketShift_(isPowerOfTwo(bucket_width)
+                       ? static_cast<std::int32_t>(exactLog2(bucket_width))
+                       : -1)
 {
     if (bucket_width != 0 && num_buckets != 0)
         buckets_.assign(num_buckets, 0);
-}
-
-void
-Distribution::sample(std::uint64_t value)
-{
-    ++count_;
-    sum_ += value;
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-    if (!buckets_.empty()) {
-        const std::uint64_t idx = value / bucketWidth_;
-        if (idx < buckets_.size())
-            ++buckets_[idx];
-        else
-            ++overflow_;
-    }
 }
 
 void

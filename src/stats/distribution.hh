@@ -8,6 +8,7 @@
 #ifndef CAMEO_STATS_DISTRIBUTION_HH
 #define CAMEO_STATS_DISTRIBUTION_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -31,8 +32,35 @@ class Distribution
     Distribution(std::string name, std::string desc,
                  std::uint64_t bucket_width = 0, std::size_t num_buckets = 0);
 
-    /** Record one sample. */
-    void sample(std::uint64_t value);
+    /**
+     * Record one sample. Inline because the queued DRAM path samples
+     * about three times per request: the bucket index is a shift for
+     * power-of-two widths and a 32-bit divide when value and width fit
+     * in 32 bits, equal in both cases to `value / bucket_width`.
+     */
+    void
+    sample(std::uint64_t value)
+    {
+        ++count_;
+        sum_ += value;
+        min_ = std::min(min_, value);
+        max_ = std::max(max_, value);
+        if (buckets_.empty())
+            return;
+        std::uint64_t idx;
+        if (bucketShift_ >= 0) {
+            idx = value >> bucketShift_;
+        } else if (value <= UINT32_MAX && bucketWidth_ <= UINT32_MAX) {
+            idx = static_cast<std::uint32_t>(value) /
+                  static_cast<std::uint32_t>(bucketWidth_);
+        } else {
+            idx = value / bucketWidth_;
+        }
+        if (idx < buckets_.size())
+            ++buckets_[idx];
+        else
+            ++overflow_;
+    }
 
     void reset();
 
@@ -92,6 +120,8 @@ class Distribution
     std::string name_;
     std::string desc_;
     std::uint64_t bucketWidth_ = 0;
+    /** log2 of a power-of-two bucket width, else -1. */
+    std::int32_t bucketShift_ = -1;
     std::vector<std::uint64_t> buckets_;
     std::uint64_t overflow_ = 0;
     std::uint64_t count_ = 0;

@@ -33,6 +33,7 @@
 #include "orgs/memory_organization.hh"
 #include "sim/event_queue.hh"
 #include "sim/mem_request.hh"
+#include "snapshot/snapshot.hh"
 #include "system/system.hh"
 #include "trace/workloads.hh"
 #include "util/rng.hh"
@@ -301,6 +302,122 @@ TEST(PipelineQueuedTest, RandomStreamDrainsCleanlyForEveryOrg)
                       client.deliveries[i - 1].done)
                 << orgKindName(kind) << " delivery order regressed";
         }
+    }
+}
+
+/** One request of the snapshot-order scenario, as submitted. */
+struct Submitted
+{
+    MemRequest req;
+    Tick done;
+};
+
+/** Snapshot @p org into one "org" section. */
+std::vector<std::uint8_t>
+snapshotOf(const MemoryOrganization &org)
+{
+    SnapshotWriter w;
+    w.beginSection("org");
+    org.save(w);
+    w.endSection();
+    return w.finish();
+}
+
+TEST(PipelineSnapshotTest, InflightRequestsSaveInIdOrderAndRefireFifo)
+{
+    // Completing requests out of submission order frees in-flight slots
+    // that later submissions reuse, so slot order stops being id order.
+    // The snapshot must not notice: it writes the requests in id order
+    // (the byte image a submission-ordered registry wrote), and after
+    // restore + rescheduleInflight same-tick completions still fire in
+    // submission (FIFO) order.
+    const OrgConfig config = smallOrgConfig(TimingMode::Queued);
+    const auto org = makeOrganization(OrgKind::Baseline, config);
+    EventQueue events;
+    org->bindEventQueue(&events);
+    RecordingClient client;
+
+    // Baseline sends OS-physical line l to off-chip device line l. Pick
+    // lines on distinct channels so equal-time reads finish together.
+    const DramAddressMap &map = org->offchipModule().addressMap();
+    std::vector<LineAddr> lines;
+    std::set<std::uint32_t> channels;
+    for (LineAddr l = 0; lines.size() < 4; ++l) {
+        if (channels.insert(map.decode(l).channel).second)
+            lines.push_back(l);
+    }
+
+    std::vector<Submitted> sent;
+    const auto submit = [&](Tick now, LineAddr line, std::uint64_t tag) {
+        Submitted s;
+        s.req.id = sent.size() + 1;
+        s.req.tag = tag;
+        s.req.line = line;
+        s.req.pc = 0x40 * tag;
+        s.req.core = 1;
+        s.req.issueTick = now;
+        s.done = org->submit(now, line, false, s.req.pc, s.req.core, tag,
+                             &client);
+        sent.push_back(s);
+    };
+    constexpr Tick kLate = 10'000;
+    submit(0, lines[0], 11);     // id 1, slot 0: completes first
+    submit(kLate, lines[1], 12); // id 2, slot 1
+    events.runOne();             // retires id 1, freeing slot 0
+    ASSERT_EQ(client.deliveries.size(), 1u);
+    ASSERT_EQ(client.deliveries[0].req.id, 1u);
+    submit(kLate, lines[2], 13); // id 3 reuses slot 0
+    submit(kLate, lines[3], 14); // id 4, slot 2
+    ASSERT_EQ(org->inflightCount(), 3u);
+    ASSERT_EQ(sent[2].done, sent[1].done);
+    ASSERT_EQ(sent[3].done, sent[1].done);
+
+    SnapshotWriter expected;
+    expected.beginSection("org");
+    expected.u64(4);
+    expected.u64(3);
+    for (const std::size_t i : {1, 2, 3}) {
+        const Submitted &s = sent[i];
+        expected.u64(s.req.id);
+        expected.u64(s.req.tag);
+        expected.u64(s.req.line);
+        expected.b(s.req.isWrite);
+        expected.u64(s.req.pc);
+        expected.u32(s.req.core);
+        expected.u64(s.req.issueTick);
+        expected.u64(s.done);
+    }
+    org->offchipModule().save(expected);
+    expected.endSection();
+    const std::vector<std::uint8_t> bytes = snapshotOf(*org);
+    EXPECT_EQ(bytes, expected.finish());
+
+    const auto resumed = makeOrganization(OrgKind::Baseline, config);
+    SnapshotReader r;
+    ASSERT_TRUE(r.open(bytes)) << r.error();
+    ASSERT_TRUE(r.enterSection("org"));
+    resumed->restore(r);
+    ASSERT_TRUE(r.leaveSection());
+    ASSERT_TRUE(r.ok()) << r.error();
+    EXPECT_EQ(snapshotOf(*resumed), bytes);
+
+    EventQueue resumed_events;
+    resumed->bindEventQueue(&resumed_events);
+    RecordingClient resumed_client;
+    resumed->rescheduleInflight(
+        [&](std::uint32_t) -> MemClient * { return &resumed_client; });
+    resumed_events.runAll();
+    resumed->bindEventQueue(nullptr);
+    events.runAll();
+    org->bindEventQueue(nullptr);
+
+    ASSERT_EQ(resumed_client.deliveries.size(), 3u);
+    ASSERT_EQ(client.deliveries.size(), 4u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(resumed_client.deliveries[i].req.id, i + 2);
+        EXPECT_EQ(resumed_client.deliveries[i].req.tag, 12 + i);
+        EXPECT_EQ(resumed_client.deliveries[i].done, sent[1].done);
+        EXPECT_EQ(client.deliveries[i + 1].req.id, i + 2);
     }
 }
 

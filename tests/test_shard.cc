@@ -201,8 +201,9 @@ TEST(ShardPlanner, EveryJobExactlyOnce)
                 ASSERT_LT(index, labels.size());
                 EXPECT_EQ(plan.shardOf[index], s);
                 // Within a shard, jobs stay in submission order.
-                if (!first)
+                if (!first) {
                     EXPECT_GT(index, prev);
+                }
                 prev = index;
                 first = false;
                 ++seen[index];

@@ -1,15 +1,22 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue ordering and the
- * agent-interleaving SimKernel.
+ * agent-interleaving SimKernel, including a property test that pins
+ * SimKernel::run() to the plain lazy-heap dispatch loop it optimizes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <queue>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/kernel.hh"
+#include "util/rng.hh"
 
 namespace cameo
 {
@@ -288,6 +295,301 @@ TEST(SimKernelTest, OtherAgentsRunDuringJumps)
     for (const auto &[id, t] : stride_log)
         inside |= (t > 20 && t < 1000);
     EXPECT_TRUE(inside);
+}
+
+/** One entry of a dispatch trace: a step or an event delivery. */
+struct TraceEntry
+{
+    char kind;         ///< 'S' agent step, 'E' event delivery.
+    std::uint64_t who; ///< Agent index (step) or event id (event).
+    Tick tick;
+
+    bool operator==(const TraceEntry &) const = default;
+};
+
+/** State shared by one randomized agent population. */
+struct World
+{
+    EventQueue *events = nullptr;
+    std::vector<TraceEntry> trace;
+    std::vector<class RandomAgent *> agents;
+    std::uint64_t nextEventId = 0;
+    std::uint64_t parks = 0; ///< Steps that parked their agent.
+    std::uint64_t bumps = 0; ///< Clock bumps of a heap-resident agent.
+};
+
+/**
+ * Agent with randomized strides drawn from a small set (so ticks tie
+ * across agents), which sometimes parks until an event unparks it,
+ * schedules no-op events at the tick of its own next step, or bumps
+ * another agent's clock from an event (a stale dispatch-heap entry).
+ */
+class RandomAgent : public Agent
+{
+  public:
+    RandomAgent(World *world, std::size_t index, std::uint64_t seed)
+        : world_(world), index_(index), rng_(seed),
+          clock_(rng_.next(4)), remaining_(20 + rng_.next(60))
+    {}
+
+    Tick nextReadyTick() const override { return clock_; }
+    bool done() const override { return remaining_ == 0; }
+    bool blocked() const override { return parked_; }
+
+    void
+    step() override
+    {
+        world_->trace.push_back({'S', index_, clock_});
+        --remaining_;
+        static constexpr Tick kStrides[] = {0, 1, 1, 2, 3, 7};
+        const Tick stride = kStrides[rng_.next(std::size(kStrides))];
+        switch (rng_.next(8)) {
+          case 0: // Park until an event at or after the current tick.
+            parked_ = true;
+            ++world_->parks;
+            schedule(clock_ + rng_.next(12), [this](Tick when) {
+                parked_ = false;
+                clock_ = std::max(clock_, when);
+            });
+            break;
+          case 1: // An event at the tick of this agent's next step.
+            schedule(clock_ + stride, [](Tick) {});
+            break;
+          case 2: { // Move another runnable agent's clock forward.
+            RandomAgent *other =
+                world_->agents[rng_.next(world_->agents.size())];
+            const Tick bump = 1 + rng_.next(5);
+            World *world = world_;
+            schedule(clock_ + rng_.next(4), [world, other, bump](Tick) {
+                if (!other->parked_ && !other->done()) {
+                    other->clock_ += bump;
+                    ++world->bumps;
+                }
+            });
+            break;
+          }
+          default:
+            break;
+        }
+        clock_ += stride;
+    }
+
+  private:
+    /** Schedule @p fn, logging its delivery in the trace first. */
+    void
+    schedule(Tick when, std::function<void(Tick)> fn)
+    {
+        const std::uint64_t id = world_->nextEventId++;
+        World *world = world_;
+        world_->events->schedule(when, [world, id, fn](Tick at) {
+            world->trace.push_back({'E', id, at});
+            fn(at);
+        });
+    }
+
+    World *world_;
+    std::size_t index_;
+    Rng rng_;
+    Tick clock_;
+    std::uint64_t remaining_;
+    bool parked_ = false;
+};
+
+/** What one run() reports, for comparing kernels. */
+struct RunOutcome
+{
+    Tick finish = 0;
+    std::uint64_t steps = 0;
+    bool hitStepLimit = false;
+    bool stoppedEarly = false;
+
+    bool operator==(const RunOutcome &) const = default;
+};
+
+/**
+ * The reference dispatch loop: SimKernel::run() as it was before the
+ * same-agent fast path — every step goes through a lazy-update
+ * std::priority_queue keyed by (tick, agent index).
+ */
+RunOutcome
+referenceRun(const std::vector<Agent *> &agents, EventQueue &events,
+             std::uint64_t max_steps, const std::function<bool()> &stop)
+{
+    using HeapEntry = std::pair<Tick, std::size_t>;
+    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
+                        std::greater<>> heap;
+    std::vector<std::size_t> parked;
+    for (std::size_t i = 0; i < agents.size(); ++i) {
+        if (agents[i]->done())
+            continue;
+        if (agents[i]->blocked())
+            parked.push_back(i);
+        else
+            heap.emplace(agents[i]->nextReadyTick(), i);
+    }
+    RunOutcome out;
+    const auto unpark = [&] {
+        for (std::size_t i = parked.size(); i-- > 0;) {
+            const std::size_t idx = parked[i];
+            if (!agents[idx]->blocked()) {
+                heap.emplace(agents[idx]->nextReadyTick(), idx);
+                parked[i] = parked.back();
+                parked.pop_back();
+            }
+        }
+    };
+    while (out.steps < max_steps) {
+        if (!events.empty() &&
+            (heap.empty() || events.nextTick() <= heap.top().first)) {
+            events.runOne();
+            unpark();
+            continue;
+        }
+        if (heap.empty())
+            break;
+        auto [tick, idx] = heap.top();
+        heap.pop();
+        Agent *agent = agents[idx];
+        if (agent->done() || agent->blocked())
+            continue;
+        if (agent->nextReadyTick() != tick) {
+            heap.emplace(agent->nextReadyTick(), idx);
+            continue;
+        }
+        agent->step();
+        ++out.steps;
+        if (!agent->done()) {
+            if (agent->blocked())
+                parked.push_back(idx);
+            else
+                heap.emplace(agent->nextReadyTick(), idx);
+        }
+        if (stop && stop()) {
+            out.stoppedEarly = true;
+            break;
+        }
+    }
+    if (!out.stoppedEarly) {
+        events.runAll();
+        for (const Agent *agent : agents)
+            out.hitStepLimit |= !agent->done();
+    }
+    for (const Agent *agent : agents)
+        out.finish = std::max(out.finish, agent->nextReadyTick());
+    return out;
+}
+
+/** A randomized population bound to its own event queue. */
+struct Population
+{
+    explicit Population(std::uint64_t seed, EventQueue *events)
+    {
+        world.events = events;
+        Rng rng(seed);
+        const std::size_t n = 1 + rng.next(6);
+        for (std::size_t i = 0; i < n; ++i)
+            owned.push_back(std::make_unique<RandomAgent>(&world, i, rng()));
+        for (const auto &a : owned) {
+            world.agents.push_back(a.get());
+            agents.push_back(a.get());
+        }
+    }
+
+    World world;
+    std::vector<std::unique_ptr<RandomAgent>> owned;
+    std::vector<Agent *> agents;
+};
+
+/**
+ * Run one population through SimKernel and a twin through the
+ * reference loop, in up to two legs (a stop predicate ends the first
+ * leg; the second continues it), and require identical traces.
+ */
+void
+expectSameDispatch(std::uint64_t seed, std::uint64_t max_steps,
+                   std::size_t stop_after)
+{
+    SimKernel kernel;
+    Population fast(seed, &kernel.events());
+    for (Agent *a : fast.agents)
+        kernel.addAgent(a);
+
+    EventQueue ref_events;
+    Population ref(seed, &ref_events);
+
+    const auto stop_for = [stop_after](const World &w) {
+        return std::function<bool()>([&w, stop_after] {
+            return stop_after != 0 && w.trace.size() >= stop_after;
+        });
+    };
+    for (int leg = 0; leg < 2; ++leg) {
+        const std::function<bool()> fast_stop =
+            leg == 0 ? stop_for(fast.world) : std::function<bool()>{};
+        const std::function<bool()> ref_stop =
+            leg == 0 ? stop_for(ref.world) : std::function<bool()>{};
+        RunOutcome got;
+        got.finish = kernel.run(max_steps, fast_stop);
+        got.steps = kernel.stepsExecuted();
+        got.hitStepLimit = kernel.hitStepLimit();
+        got.stoppedEarly = kernel.stoppedEarly();
+        const RunOutcome want =
+            referenceRun(ref.agents, ref_events, max_steps, ref_stop);
+
+        ASSERT_EQ(fast.world.trace, ref.world.trace)
+            << "seed " << seed << " leg " << leg;
+        ASSERT_EQ(got, want) << "seed " << seed << " leg " << leg;
+        if (!got.stoppedEarly)
+            break;
+    }
+}
+
+TEST(SimKernelDispatchTest, MatchesLazyHeapReferenceLoop)
+{
+    for (std::uint64_t seed = 1; seed <= 300; ++seed)
+        expectSameDispatch(seed, ~std::uint64_t{0}, 0);
+}
+
+TEST(SimKernelDispatchTest, MatchesReferenceUnderStepLimit)
+{
+    for (std::uint64_t seed = 1; seed <= 300; ++seed)
+        expectSameDispatch(seed, 1 + seed % 97, 0);
+}
+
+TEST(SimKernelDispatchTest, MatchesReferenceAcrossStopAndContinue)
+{
+    for (std::uint64_t seed = 1; seed <= 300; ++seed)
+        expectSameDispatch(seed, ~std::uint64_t{0}, 1 + seed % 53);
+}
+
+TEST(SimKernelDispatchTest, PopulationsExerciseTiesParksAndStaleEntries)
+{
+    // Guard the property tests above against a generator that never
+    // produces the cases they exist for.
+    std::size_t tied_steps = 0;
+    std::size_t same_tick_events = 0;
+    std::uint64_t parks = 0;
+    std::uint64_t bumps = 0;
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        EventQueue events;
+        Population pop(seed, &events);
+        referenceRun(pop.agents, events, ~std::uint64_t{0}, {});
+        parks += pop.world.parks;
+        bumps += pop.world.bumps;
+        const auto &t = pop.world.trace;
+        for (std::size_t i = 1; i < t.size(); ++i) {
+            if (t[i].tick != t[i - 1].tick)
+                continue;
+            if (t[i].kind == 'S' && t[i - 1].kind == 'S' &&
+                t[i].who != t[i - 1].who)
+                ++tied_steps;
+            if (t[i].kind != t[i - 1].kind)
+                ++same_tick_events;
+        }
+    }
+    EXPECT_GT(tied_steps, 100u);
+    EXPECT_GT(same_tick_events, 100u);
+    EXPECT_GT(parks, 100u);
+    EXPECT_GT(bumps, 100u);
 }
 
 } // namespace

@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "stats/counter.hh"
 #include "stats/distribution.hh"
 #include "stats/registry.hh"
 #include "stats/table.hh"
+#include "util/rng.hh"
 
 namespace cameo
 {
@@ -185,6 +189,89 @@ TEST(DistributionTest, ResetClearsEverything)
     EXPECT_EQ(d.sum(), 0u);
     EXPECT_EQ(d.overflow(), 0u);
     EXPECT_EQ(d.buckets()[0], 0u);
+}
+
+/**
+ * Reference model of Distribution's sample state: the plain 64-bit
+ * `value / width` bucket index the inline fast paths must reproduce.
+ */
+struct ReferenceHistogram
+{
+    std::uint64_t width;
+    std::vector<std::uint64_t> buckets;
+    std::uint64_t overflow = 0;
+    std::uint64_t count = 0;
+    std::uint64_t sum = 0;
+    std::uint64_t min = ~std::uint64_t{0};
+    std::uint64_t max = 0;
+
+    void
+    sample(std::uint64_t value)
+    {
+        ++count;
+        sum += value;
+        min = std::min(min, value);
+        max = std::max(max, value);
+        const std::uint64_t idx = value / width;
+        if (idx < buckets.size())
+            ++buckets[idx];
+        else
+            ++overflow;
+    }
+};
+
+TEST(DistributionTest, BucketingMatchesDivisionReference)
+{
+    Rng rng(2024);
+    // Values straddle every fast-path boundary: small, near 2^32, at
+    // and above it, and up to 2^64 - 1.
+    const auto draw_value = [&rng]() -> std::uint64_t {
+        switch (rng.next(5)) {
+          case 0:
+            return rng.next(4096);
+          case 1:
+            return UINT32_MAX - 8 + rng.next(16);
+          case 2:
+            return (std::uint64_t{1} << 32) + rng.next(1u << 20);
+          case 3:
+            return ~std::uint64_t{0} - rng.next(16);
+          default: {
+            const std::uint64_t bits = rng();
+            return bits >> rng.next(64);
+          }
+        }
+    };
+    for (int trial = 0; trial < 400; ++trial) {
+        std::uint64_t width;
+        switch (trial % 4) {
+          case 0: // Power of two, up to 2^63.
+            width = std::uint64_t{1} << rng.next(64);
+            break;
+          case 1: // Small non-power-of-two (the 32-bit divide path).
+            width = 3 + 2 * rng.next(1000);
+            break;
+          case 2: // Non-power-of-two wider than 32 bits.
+            width = (std::uint64_t{1} << 32) + 1 + 2 * rng.next(1u << 30);
+            break;
+          default: // width * count overflows 2^64.
+            width = (std::uint64_t{1} << 62) + 3;
+            break;
+        }
+        const std::size_t count = 1 + rng.next(80);
+        Distribution d("d", "", width, count);
+        ReferenceHistogram ref{width, std::vector<std::uint64_t>(count)};
+        for (int i = 0; i < 500; ++i) {
+            const std::uint64_t v = draw_value();
+            d.sample(v);
+            ref.sample(v);
+        }
+        ASSERT_EQ(d.buckets(), ref.buckets) << "width " << width;
+        ASSERT_EQ(d.overflow(), ref.overflow) << "width " << width;
+        ASSERT_EQ(d.count(), ref.count);
+        ASSERT_EQ(d.sum(), ref.sum);
+        ASSERT_EQ(d.minValue(), ref.min);
+        ASSERT_EQ(d.maxValue(), ref.max);
+    }
 }
 
 TEST(RegistryTest, AddAndFind)
