@@ -5,7 +5,11 @@
  * The paper's L3 is plain LRU; Random is provided for sensitivity tests
  * and as a second implementation to exercise the policy interface.
  * Policies operate on way indices within one set and are stateless
- * across sets except for the per-way metadata the cache hands them.
+ * across sets except for the per-way metadata handed to them.
+ *
+ * SetAssocCache makes the same decision over its per-set recency
+ * ranks; chooseVictim over WayMeta timestamps is the reference model
+ * the cache's differential test compares it against.
  */
 
 #ifndef CAMEO_CACHE_REPLACEMENT_HH
@@ -19,7 +23,7 @@
 namespace cameo
 {
 
-/** Per-way replacement metadata kept by the cache. */
+/** Per-way replacement metadata of the reference model. */
 struct WayMeta
 {
     bool valid = false;

@@ -28,20 +28,29 @@ hex32(std::uint32_t v)
     return buf;
 }
 
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
+/** Copy @p n bytes to @p out; returns the byte after them. */
+std::uint8_t *
+putBytes(std::uint8_t *out, const void *data, std::size_t n)
 {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
+    if (n != 0)
+        std::memcpy(out, data, n);
+    return out + n;
 }
 
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
+/** Little-endian @p v at @p out; returns the byte after it. */
+std::uint8_t *
+putU32(std::uint8_t *out, std::uint32_t v)
 {
-    putU32(out, static_cast<std::uint32_t>(v));
-    putU32(out, static_cast<std::uint32_t>(v >> 32));
+    for (int i = 0; i < 4; ++i)
+        *out++ = static_cast<std::uint8_t>(v >> (8 * i));
+    return out;
+}
+
+std::uint8_t *
+putU64(std::uint8_t *out, std::uint64_t v)
+{
+    out = putU32(out, static_cast<std::uint32_t>(v));
+    return putU32(out, static_cast<std::uint32_t>(v >> 32));
 }
 
 } // namespace
@@ -164,21 +173,24 @@ SnapshotWriter::finish()
 {
     assert(!inSection_ && !finished_);
     finished_ = true;
-    std::vector<std::uint8_t> out;
-    out.reserve(kHeaderBytes + payload_.size() + sections_.size() * 32);
-    out.insert(out.end(), kSnapshotMagic, kSnapshotMagic + 8);
-    putU32(out, kSnapshotVersion);
-    putU32(out, static_cast<std::uint32_t>(sections_.size()));
+    // Size the frame once, then fill it front to back. Per section:
+    // u32 name length, name, u64 payload length, u32 CRC, payload.
+    std::size_t total = kHeaderBytes;
+    for (const Section &s : sections_)
+        total += 4 + s.name.size() + 8 + 4 + (s.payloadEnd - s.payloadBegin);
+    std::vector<std::uint8_t> out(total);
+    std::uint8_t *p = putBytes(out.data(), kSnapshotMagic, 8);
+    p = putU32(p, kSnapshotVersion);
+    p = putU32(p, static_cast<std::uint32_t>(sections_.size()));
     for (const Section &s : sections_) {
-        putU32(out, static_cast<std::uint32_t>(s.name.size()));
-        out.insert(out.end(), s.name.begin(), s.name.end());
-        const std::uint64_t len = s.payloadEnd - s.payloadBegin;
-        putU64(out, len);
-        putU32(out, snapshotCrc32(payload_.data() + s.payloadBegin,
-                                  static_cast<std::size_t>(len)));
-        out.insert(out.end(), payload_.begin() + s.payloadBegin,
-                   payload_.begin() + s.payloadEnd);
+        p = putU32(p, static_cast<std::uint32_t>(s.name.size()));
+        p = putBytes(p, s.name.data(), s.name.size());
+        const std::size_t len = s.payloadEnd - s.payloadBegin;
+        p = putU64(p, len);
+        p = putU32(p, snapshotCrc32(payload_.data() + s.payloadBegin, len));
+        p = putBytes(p, payload_.data() + s.payloadBegin, len);
     }
+    assert(p == out.data() + out.size());
     return out;
 }
 
