@@ -4,7 +4,7 @@
  * achieved off-chip bandwidth, and controller queue occupancy on the
  * bandwidth-heavy Table-IV workloads.
  *
- * Unlike perf_hotpath (which times the simulator), this bench measures
+ * Unlike perfbench (which times the simulator), this bench measures
  * the *simulated machine*: how much the DRAM controller queues — the
  * bounded in-service read window and the posted-write drain — stretch
  * execution relative to the contention-free Blocking mode, and how

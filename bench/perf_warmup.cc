@@ -3,7 +3,7 @@
  * Switchable-fidelity warmup bench: wall-clock speedup of functional
  * fast-forward warmup over detailed warmup on a warmup-heavy sweep.
  *
- * Like perf_hotpath, this bench measures the *simulator*, not the
+ * Like perfbench, this bench measures the *simulator*, not the
  * simulated machine. Each run spends warmupAccessesPerCore warming
  * architectural state (10x the measured region by default) and then
  * simulates the measured region in detailed mode. The only variable is

@@ -139,8 +139,9 @@ int resolveShardResultFd();
 
 /**
  * Write @p results as deterministic CSV in submission order. Shared by
- * cameo-shard and bench/perf_shard so their byte-equality checks
- * compare identical serializations. Contains no host-side values.
+ * cameo-shard and perfbench, so the shard.identity byte-equality check
+ * and perfbench's output digest see one serialization. Contains no
+ * host-side values.
  */
 void writeShardResultsCsv(std::ostream &os,
                           const std::vector<RunResult> &results);

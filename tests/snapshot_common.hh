@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -30,19 +32,33 @@
 namespace cameo::snaptest
 {
 
-/** Every organization the simulator knows, with a printable label. */
-inline const std::vector<std::pair<std::string, OrgKind>> kAllOrgs{
-    {"Baseline", OrgKind::Baseline},
-    {"Cache", OrgKind::AlloyCache},
-    {"TlmStatic", OrgKind::TlmStatic},
-    {"TlmDynamic", OrgKind::TlmDynamic},
-    {"TlmFreq", OrgKind::TlmFreq},
-    {"TlmOracle", OrgKind::TlmOracle},
-    {"DoubleUse", OrgKind::DoubleUse},
-    {"Cameo", OrgKind::Cameo},
-    {"CameoFreq", OrgKind::CameoFreq},
-    {"Banshee", OrgKind::Banshee},
-};
+/**
+ * Test-name label of @p kind: orgKindName() without its '-', each
+ * all-caps part title-cased ("TLM-Static" -> "TlmStatic", "CAMEO" ->
+ * "Cameo").
+ */
+inline std::string
+orgLabel(OrgKind kind)
+{
+    std::string label;
+    std::istringstream parts(orgKindName(kind));
+    for (std::string part; std::getline(parts, part, '-');) {
+        if (std::none_of(part.begin(), part.end(),
+                         [](unsigned char c) { return std::islower(c); }))
+            std::transform(part.begin() + 1, part.end(), part.begin() + 1,
+                           [](unsigned char c) { return std::tolower(c); });
+        label += part;
+    }
+    return label;
+}
+
+/** Every organization the simulator knows, with its orgLabel(). */
+inline const std::vector<std::pair<std::string, OrgKind>> kAllOrgs = [] {
+    std::vector<std::pair<std::string, OrgKind>> orgs;
+    for (const OrgKind kind : allOrgKinds())
+        orgs.emplace_back(orgLabel(kind), kind);
+    return orgs;
+}();
 
 /** Short traces keep the 10-org x 2-timing matrix fast. */
 inline SystemConfig

@@ -33,11 +33,21 @@ namespace
 
 std::atomic<std::uint64_t> gAllocations{0};
 
-void *
+// Every replaced operator new/delete goes through this pair. Neither is
+// inlined, so GCC cannot follow a pointer from a new expression into
+// free() and misreport this matched malloc/free as
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void *
 countedAlloc(std::size_t n)
 {
     gAllocations.fetch_add(1, std::memory_order_relaxed);
     return std::malloc(n == 0 ? 1 : n);
+}
+
+[[gnu::noinline]] void
+countedFree(void *p) noexcept
+{
+    std::free(p);
 }
 
 } // namespace
@@ -73,25 +83,25 @@ operator new[](std::size_t n, const std::nothrow_t &) noexcept
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 namespace cameo

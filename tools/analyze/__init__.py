@@ -13,7 +13,7 @@ passes themselves live under ``passes/`` and are registered in
                  (<chrono>, <random>, <ctime>) into simulation code
   audit-coverage mutation sites of audited structures (LLT, DRAM
                  queues, kernel clock) must sit near a CAMEO_AUDIT
-  conventions    the seven legacy tools/lint.py rules (guards, @file
+  conventions    the seven repo-convention rules (guards, @file
                  docs, direct nondeterminism, hygiene, hot-path
                  containers, DRAM pipeline entry, generator use)
 

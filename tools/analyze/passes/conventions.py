@@ -1,5 +1,5 @@
-"""Repo-convention pass: the seven legacy ``tools/lint.py`` rules,
-ported onto the shared lexer so one tool owns repo conventions.
+"""Repo-convention pass: the seven repository-convention rules, run on
+the shared lexer so one tool owns repo conventions.
 
   conventions/include-guard     CAMEO_<DIR>_<FILE>_HH guards
   conventions/file-doc          Doxygen @file comment in src headers
@@ -100,7 +100,6 @@ GENERATOR_BAN_DIRS = ("src/exp", "bench")
 # Files allowed to construct SyntheticGenerator directly: benches whose
 # whole point is measuring the raw generator against arena replay.
 GENERATOR_ALLOWLIST = {
-    "bench/micro_components.cc",
     "bench/perf_arena.cc",
 }
 
