@@ -23,10 +23,9 @@ tadTimings(DramTimings t)
 
 AlloyCacheOrg::AlloyCacheOrg(const OrgConfig &config,
                              std::uint64_t backing_bytes, std::string name)
-    : MemoryOrganization(std::move(name)),
-      stacked_("dram.stacked", tadTimings(config.stacked),
-               config.stackedBytes),
-      offchip_("dram.offchip", config.offchip, backing_bytes),
+    : MemoryOrganization(std::move(name), config,
+                         {tadTimings(config.stacked), config.stackedBytes,
+                          backing_bytes}),
       tags_(config.stackedBytes / kLineBytes / 32 * kTadsPerRow),
       map_(std::size_t{config.numCores} * kMapEntries, 0),
       hits_("alloy.hits", "DRAM cache hits"),
@@ -36,7 +35,6 @@ AlloyCacheOrg::AlloyCacheOrg(const OrgConfig &config,
       wastedFetches_("alloy.wastedFetches",
                      "parallel off-chip fetches that were not needed")
 {
-    applyTimingConfig(config);
 }
 
 std::size_t
@@ -79,7 +77,7 @@ AlloyCacheOrg::serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
         // re-referenced — stacked caches allocate on writeback).
         if (!hit && set.valid && set.dirty)
             charge(offchip_, fidelity, now, set.tag, true, kLineBytes);
-        const Tick done = charge(stacked_, fidelity, now, set_idx, true,
+        const Tick done = charge(*stacked_, fidelity, now, set_idx, true,
                                  kTadBurstBytes);
         set.tag = line;
         set.valid = true;
@@ -89,7 +87,7 @@ AlloyCacheOrg::serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
 
     const bool pred_hit = predictHit(core, pc);
     // The TAD read doubles as tag check and (on hit) data delivery.
-    const Tick t_tad = charge(stacked_, fidelity, now, set_idx, false,
+    const Tick t_tad = charge(*stacked_, fidelity, now, set_idx, false,
                               kTadBurstBytes);
 
     Tick done;
@@ -121,7 +119,7 @@ AlloyCacheOrg::serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
         // buses but are not on the demand critical path).
         if (set.valid && set.dirty)
             charge(offchip_, fidelity, now, set.tag, true, kLineBytes);
-        charge(stacked_, fidelity, now, set_idx, true, kTadBurstBytes);
+        charge(*stacked_, fidelity, now, set_idx, true, kTadBurstBytes);
         set.tag = line;
         set.valid = true;
         set.dirty = false;
@@ -142,10 +140,8 @@ AlloyCacheOrg::hitRate() const
 }
 
 void
-AlloyCacheOrg::registerStats(StatRegistry &registry)
+AlloyCacheOrg::registerOwnStats(StatRegistry &registry)
 {
-    stacked_.registerStats(registry);
-    offchip_.registerStats(registry);
     registry.add(hits_);
     registry.add(misses_);
     registry.add(mapCorrect_);

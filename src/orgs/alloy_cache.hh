@@ -52,16 +52,9 @@ class AlloyCacheOrg : public MemoryOrganization
         return offchip_.capacityBytes();
     }
 
-    void registerStats(StatRegistry &registry) override;
-
-    DramModule *stackedModule() override { return &stacked_; }
-    const DramModule *stackedModule() const override { return &stacked_; }
-    DramModule &offchipModule() override { return offchip_; }
-    const DramModule &offchipModule() const override { return offchip_; }
-
     std::uint64_t numSets() const { return tags_.numSets(); }
 
-    /** The tag-array mapping policy (composition introspection). */
+    /** The direct-mapped tag array. */
     const TadTagMapping &tagMapping() const { return tags_; }
 
     /** Hit fraction among demand reads so far. */
@@ -80,6 +73,7 @@ class AlloyCacheOrg : public MemoryOrganization
   protected:
     Tick serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
                std::uint32_t core, Fidelity fidelity) override;
+    void registerOwnStats(StatRegistry &registry) override;
 
   private:
     /** MAP-I: predict whether @p pc's access will hit the cache. */
@@ -87,10 +81,7 @@ class AlloyCacheOrg : public MemoryOrganization
     void trainPredictor(std::uint32_t core, InstAddr pc, bool hit);
     std::size_t mapIndex(std::uint32_t core, InstAddr pc) const;
 
-    DramModule stacked_;
-    DramModule offchip_;
-
-    /** Direct-mapped TAD tags (the extracted mapping policy). */
+    /** Direct-mapped TAD tags. */
     TadTagMapping tags_;
 
     /** Per-core 3-bit saturating hit counters, 256 entries each. */

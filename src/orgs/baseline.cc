@@ -6,10 +6,11 @@ namespace cameo
 {
 
 BaselineOrg::BaselineOrg(const OrgConfig &config)
-    : MemoryOrganization("Baseline"),
-      offchip_("dram.offchip", config.offchip, config.offchipBytes)
+    : MemoryOrganization("Baseline", config,
+                         {.stacked = {},
+                          .stackedBytes = 0,
+                          .offchipBytes = config.offchipBytes})
 {
-    applyTimingConfig(config);
 }
 
 Tick
@@ -20,12 +21,6 @@ BaselineOrg::serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
     (void)core;
     assert(line < offchip_.capacityLines());
     return charge(offchip_, fidelity, now, line, is_write, kLineBytes);
-}
-
-void
-BaselineOrg::registerStats(StatRegistry &registry)
-{
-    offchip_.registerStats(registry);
 }
 
 } // namespace cameo

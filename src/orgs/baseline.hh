@@ -24,17 +24,9 @@ class BaselineOrg : public MemoryOrganization
         return offchip_.capacityBytes();
     }
 
-    void registerStats(StatRegistry &registry) override;
-
-    DramModule &offchipModule() override { return offchip_; }
-    const DramModule &offchipModule() const override { return offchip_; }
-
   protected:
     Tick serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
                std::uint32_t core, Fidelity fidelity) override;
-
-  private:
-    DramModule offchip_;
 };
 
 } // namespace cameo

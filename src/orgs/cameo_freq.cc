@@ -21,9 +21,9 @@ CameoFreqOrg::serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
 }
 
 void
-CameoFreqOrg::registerStats(StatRegistry &registry)
+CameoFreqOrg::registerOwnStats(StatRegistry &registry)
 {
-    CameoOrg::registerStats(registry);
+    CameoOrg::registerOwnStats(registry);
     filter_.registerStats(registry);
 }
 

@@ -32,8 +32,6 @@ class CameoFreqOrg : public CameoOrg
 
     explicit CameoFreqOrg(const OrgConfig &config);
 
-    void registerStats(StatRegistry &registry) override;
-
     const Counter &hotPages() const { return filter_.hotPages(); }
 
     /** Checkpointable: CAMEO state + the admission filter's counters. */
@@ -43,6 +41,7 @@ class CameoFreqOrg : public CameoOrg
   protected:
     Tick serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
                std::uint32_t core, Fidelity fidelity) override;
+    void registerOwnStats(StatRegistry &registry) override;
 
   private:
     /** The admission policy (owns counters, epoch decay, stats). */

@@ -8,78 +8,72 @@
 namespace cameo
 {
 
-DramTimings
-CameoOrg::stackedTimingsFor(const OrgConfig &config)
+namespace
 {
-    DramTimings t = config.stacked;
-    if (config.llt.kind == LltKind::CoLocated) {
-        // 31 LEADs per 2KB row (Figure 7).
-        t.linesPerRow = LeadLayout::kLeadsPerRow;
+
+/**
+ * Bytes the LLT design costs (see cameo_org.hh): none for Ideal, the
+ * reserved LLT region for Embedded, 1/32 of the stacked capacity for
+ * CoLocated.
+ */
+std::uint64_t
+lltReserveBytes(const OrgConfig &config)
+{
+    switch (config.llt.kind) {
+      case LltKind::Ideal:
+        return 0;
+      case LltKind::Embedded: {
+        const std::uint64_t k =
+            (config.stackedBytes + config.offchipBytes) / config.stackedBytes;
+        return CameoController::lltReserveLines(
+                   config.stackedBytes / kLineBytes,
+                   static_cast<std::uint32_t>(k)) *
+               kLineBytes;
+      }
+      case LltKind::CoLocated:
+        return config.stackedBytes / 32;
     }
-    return t;
+    return 0;
 }
 
-std::uint64_t
-CameoOrg::stackedModuleBytes(const OrgConfig &config)
+/** CAMEO's modules: the stacked one is shaped by the LLT design. */
+DramLayout
+cameoDram(const OrgConfig &config)
 {
-    if (config.llt.kind == LltKind::Embedded) {
+    DramLayout dram{config.stacked, config.stackedBytes,
+                    config.offchipBytes};
+    if (config.llt.kind == LltKind::CoLocated) {
+        // 31 LEADs per 2KB row (Figure 7).
+        dram.stacked.linesPerRow = LeadLayout::kLeadsPerRow;
+    } else if (config.llt.kind == LltKind::Embedded) {
         // Model the reserved LLT region as additional device lines so
         // LLT lookups contend for real banks and buses; the capacity
         // cost is charged against visible bytes instead.
-        const std::uint64_t data_lines = config.stackedBytes / kLineBytes;
-        const std::uint64_t k =
-            (config.stackedBytes + config.offchipBytes) /
-            config.stackedBytes;
-        const std::uint64_t reserve = CameoController::lltReserveLines(
-            data_lines, static_cast<std::uint32_t>(k));
-        return config.stackedBytes + reserve * kLineBytes;
+        dram.stackedBytes += lltReserveBytes(config);
     }
-    return config.stackedBytes;
+    return dram;
 }
 
-std::uint64_t
-CameoOrg::computeVisibleBytes(const OrgConfig &config)
-{
-    const std::uint64_t total = config.stackedBytes + config.offchipBytes;
-    std::uint64_t reserve = 0;
-    switch (config.llt.kind) {
-      case LltKind::Ideal:
-        reserve = 0;
-        break;
-      case LltKind::Embedded: {
-        const std::uint64_t data_lines = config.stackedBytes / kLineBytes;
-        const std::uint64_t k = total / config.stackedBytes;
-        reserve = CameoController::lltReserveLines(
-                      data_lines, static_cast<std::uint32_t>(k)) *
-                  kLineBytes;
-        break;
-      }
-      case LltKind::CoLocated:
-        reserve = config.stackedBytes / 32;
-        break;
-    }
-    return (total - reserve) / kPageBytes * kPageBytes;
-}
+} // namespace
 
 CameoOrg::CameoOrg(const OrgConfig &config, std::string name)
     : MemoryOrganization(name.empty() ? variantName(config.llt.kind,
                                                     config.llt.predictor)
-                                      : std::move(name)),
-      stacked_("dram.stacked", stackedTimingsFor(config),
-               stackedModuleBytes(config)),
-      offchip_("dram.offchip", config.offchip, config.offchipBytes),
+                                      : std::move(name),
+                         config, cameoDram(config)),
       controller_(
           CameoParams{config.llt.kind, config.llt.predictor,
                       config.numCores, config.llt.llpTableEntries},
-          stacked_, offchip_, config.stackedBytes / kLineBytes,
+          *stacked_, offchip_, config.stackedBytes / kLineBytes,
           (config.stackedBytes + config.offchipBytes) / kLineBytes),
-      visibleBytes_(computeVisibleBytes(config))
+      visibleBytes_((config.stackedBytes + config.offchipBytes -
+                     lltReserveBytes(config)) /
+                    kPageBytes * kPageBytes)
 {
     assert(isPowerOfTwo(config.stackedBytes / kLineBytes));
     assert((config.stackedBytes + config.offchipBytes) %
                config.stackedBytes ==
            0);
-    applyTimingConfig(config);
 }
 
 Tick
@@ -90,10 +84,8 @@ CameoOrg::serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
 }
 
 void
-CameoOrg::registerStats(StatRegistry &registry)
+CameoOrg::registerOwnStats(StatRegistry &registry)
 {
-    stacked_.registerStats(registry);
-    offchip_.registerStats(registry);
     controller_.registerStats(registry);
 }
 

@@ -35,13 +35,6 @@ class CameoOrg : public MemoryOrganization
 
     std::uint64_t visibleBytes() const override { return visibleBytes_; }
 
-    void registerStats(StatRegistry &registry) override;
-
-    DramModule *stackedModule() override { return &stacked_; }
-    const DramModule *stackedModule() const override { return &stacked_; }
-    DramModule &offchipModule() override { return offchip_; }
-    const DramModule &offchipModule() const override { return offchip_; }
-
     const CameoController *cameo() const override { return &controller_; }
     CameoController &controller() { return controller_; }
 
@@ -55,14 +48,9 @@ class CameoOrg : public MemoryOrganization
   protected:
     Tick serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
                std::uint32_t core, Fidelity fidelity) override;
+    void registerOwnStats(StatRegistry &registry) override;
 
   private:
-    static DramTimings stackedTimingsFor(const OrgConfig &config);
-    static std::uint64_t stackedModuleBytes(const OrgConfig &config);
-    static std::uint64_t computeVisibleBytes(const OrgConfig &config);
-
-    DramModule stacked_;
-    DramModule offchip_;
     CameoController controller_;
     std::uint64_t visibleBytes_;
 };

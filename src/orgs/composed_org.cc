@@ -15,9 +15,9 @@ namespace cameo
 ComposedOrg::ComposedOrg(const OrgConfig &config, std::string name,
                          std::unique_ptr<PageMappingPolicy> mapping,
                          std::unique_ptr<PagePlacementPolicy> placement)
-    : MemoryOrganization(std::move(name)),
-      stacked_("dram.stacked", config.stacked, config.stackedBytes),
-      offchip_("dram.offchip", config.offchip, config.offchipBytes),
+    : MemoryOrganization(std::move(name), config,
+                         {config.stacked, config.stackedBytes,
+                          config.offchipBytes}),
       stackedPages_(config.stackedBytes / kPageBytes),
       totalPages_((config.stackedBytes + config.offchipBytes) / kPageBytes),
       servicedStacked_("tlm.servicedStacked",
@@ -29,7 +29,6 @@ ComposedOrg::ComposedOrg(const OrgConfig &config, std::string name,
 {
     assert(stackedPages_ != 0 && totalPages_ > stackedPages_);
     assert(mapping_ != nullptr && placement_ != nullptr);
-    applyTimingConfig(config);
 }
 
 ComposedOrg::~ComposedOrg() = default;
@@ -42,7 +41,7 @@ ComposedOrg::routeLine(Tick now, std::uint64_t device_page,
     assert(device_page < totalPages_);
     if (inStacked(device_page)) {
         servicedStacked_.inc();
-        return charge(stacked_, fidelity, now,
+        return charge(*stacked_, fidelity, now,
                       device_page * kLinesPerPage + line_in_page, is_write,
                       kLineBytes);
     }
@@ -83,9 +82,9 @@ ComposedOrg::billPageSwap(Tick when, std::uint64_t offchip_dev_page,
     for (std::uint32_t i = 0; i < kLinesPerPage; ++i) {
         // Page coming in: read off-chip, write stacked.
         charge(offchip_, fidelity, when, off_base + i, false, kLineBytes);
-        charge(stacked_, fidelity, when, stk_base + i, true, kLineBytes);
+        charge(*stacked_, fidelity, when, stk_base + i, true, kLineBytes);
         // Victim going out: read stacked, write off-chip.
-        charge(stacked_, fidelity, when, stk_base + i, false, kLineBytes);
+        charge(*stacked_, fidelity, when, stk_base + i, false, kLineBytes);
         charge(offchip_, fidelity, when, off_base + i, true, kLineBytes);
     }
     pageMigrations_.inc();
@@ -105,10 +104,8 @@ ComposedOrg::setPageHeat(PageHeatMap heat)
 }
 
 void
-ComposedOrg::registerStats(StatRegistry &registry)
+ComposedOrg::registerOwnStats(StatRegistry &registry)
 {
-    stacked_.registerStats(registry);
-    offchip_.registerStats(registry);
     registry.add(servicedStacked_);
     registry.add(servicedOffchip_);
     registry.add(pageMigrations_);

@@ -1,9 +1,9 @@
 /**
  * @file
- * ComposedOrg: a two-level organization assembled from one page-granular
- * MappingPolicy and one PagePlacementPolicy (DESIGN.md §14).
+ * ComposedOrg: a two-level organization assembled from one
+ * PageMappingPolicy and one PagePlacementPolicy (DESIGN.md §14).
  *
- * The driver owns the DRAM modules and the demand-routing path:
+ * The driver owns the demand-routing path:
  * translate the OS-physical page through the mapping, service the line
  * from the right module, then let the placement react (possibly
  * swapping pages through the PlacementContext interface this class
@@ -37,15 +37,8 @@ class ComposedOrg final : public MemoryOrganization, public PlacementContext
 
     std::uint64_t visibleBytes() const override
     {
-        return stacked_.capacityBytes() + offchip_.capacityBytes();
+        return stacked_->capacityBytes() + offchip_.capacityBytes();
     }
-
-    void registerStats(StatRegistry &registry) override;
-
-    DramModule *stackedModule() override { return &stacked_; }
-    const DramModule *stackedModule() const override { return &stacked_; }
-    DramModule &offchipModule() override { return offchip_; }
-    const DramModule &offchipModule() const override { return offchip_; }
 
     /** PlacementContext: geometry and mapping access for the policies. */
     std::uint64_t stackedPages() const override { return stackedPages_; }
@@ -100,6 +93,7 @@ class ComposedOrg final : public MemoryOrganization, public PlacementContext
   private:
     Tick serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
                std::uint32_t core, Fidelity fidelity) override;
+    void registerOwnStats(StatRegistry &registry) override;
 
     /** True if @p device_page resides in stacked DRAM. */
     bool inStacked(std::uint64_t device_page) const
@@ -112,8 +106,6 @@ class ComposedOrg final : public MemoryOrganization, public PlacementContext
                    std::uint32_t line_in_page, bool is_write,
                    Fidelity fidelity);
 
-    DramModule stacked_;
-    DramModule offchip_;
     std::uint64_t stackedPages_;
     std::uint64_t totalPages_;
 

@@ -23,7 +23,42 @@
 namespace cameo
 {
 
+MemoryOrganization::MemoryOrganization(std::string name,
+                                       const OrgConfig &config,
+                                       const DramLayout &dram)
+    : offchip_("dram.offchip", config.offchip, dram.offchipBytes),
+      name_(std::move(name)), timingMode_(config.timingMode)
+{
+    if (dram.stackedBytes != 0) {
+        stacked_.emplace("dram.stacked", dram.stacked, dram.stackedBytes);
+        stacked_->setTimingMode(config.timingMode, config.queues);
+    }
+    offchip_.setTimingMode(config.timingMode, config.queues);
+#if CAMEO_AUDIT_ENABLED
+    // The event queue fires in tick order, so queued-mode deliveries
+    // are monotone; blocking completions fire in submission order with
+    // freely interleaved ticks.
+    queueAudit_.setMonotonicDelivery(config.timingMode ==
+                                     TimingMode::Queued);
+#endif
+}
+
 MemoryOrganization::~MemoryOrganization() = default;
+
+void
+MemoryOrganization::registerStats(StatRegistry &registry)
+{
+    if (stacked_)
+        stacked_->registerStats(registry);
+    offchip_.registerStats(registry);
+    registerOwnStats(registry);
+}
+
+void
+MemoryOrganization::registerOwnStats(StatRegistry &registry)
+{
+    (void)registry;
+}
 
 Tick
 MemoryOrganization::submit(Tick now, LineAddr line, bool is_write,
@@ -128,9 +163,9 @@ MemoryOrganization::save(SnapshotWriter &w) const
         w.u64(f.req.issueTick);
         w.u64(f.done);
     }
-    if (const DramModule *stacked = stackedModule())
-        stacked->save(w);
-    offchipModule().save(w);
+    if (stacked_)
+        stacked_->save(w);
+    offchip_.save(w);
 }
 
 void
@@ -168,9 +203,9 @@ MemoryOrganization::restore(SnapshotReader &r)
     for (const InflightRequest &f : inflight_)
         queueAudit_.onSubmit(f.req.id, f.req.issueTick);
 #endif
-    if (DramModule *stacked = stackedModule())
-        stacked->restore(r);
-    offchipModule().restore(r);
+    if (stacked_)
+        stacked_->restore(r);
+    offchip_.restore(r);
 }
 
 void
@@ -191,22 +226,6 @@ MemoryOrganization::rescheduleInflight(
 }
 
 void
-MemoryOrganization::applyTimingConfig(const OrgConfig &config)
-{
-    timingMode_ = config.timingMode;
-    if (DramModule *stacked = stackedModule())
-        stacked->setTimingMode(config.timingMode, config.queues);
-    offchipModule().setTimingMode(config.timingMode, config.queues);
-#if CAMEO_AUDIT_ENABLED
-    // The event queue fires in tick order, so queued-mode deliveries
-    // are monotone; blocking completions fire in submission order with
-    // freely interleaved ticks.
-    queueAudit_.setMonotonicDelivery(config.timingMode ==
-                                     TimingMode::Queued);
-#endif
-}
-
-void
 MemoryOrganization::resetTiming()
 {
     assert(inflightCount() == 0 &&
@@ -216,9 +235,9 @@ MemoryOrganization::resetTiming()
     // Request ids and delivery times restart with the rebased clocks.
     queueAudit_.reset();
 #endif
-    if (DramModule *stacked = stackedModule())
-        stacked->reset();
-    offchipModule().reset();
+    if (stacked_)
+        stacked_->reset();
+    offchip_.reset();
 }
 
 void

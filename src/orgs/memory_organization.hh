@@ -3,12 +3,13 @@
  * MemoryOrganization: the interface every stacked-DRAM usage model
  * implements, plus the factory used by System and the benches.
  *
- * An organization owns its DRAM module(s), decides how OS-physical line
- * addresses map onto devices, and models the timing of each access. It
- * also reports the OS-visible capacity it exposes — the property that
- * separates a cache (stacked DRAM invisible) from TLM/CAMEO (visible),
- * and therefore drives the page-fault behaviour of Capacity-Limited
- * workloads.
+ * The base class owns the DRAM modules (the off-chip one and, for all
+ * kinds but Baseline, the stacked one). A concrete organization decides
+ * how OS-physical line addresses map onto them and models the timing
+ * of each access. It also reports the OS-visible capacity it exposes —
+ * the property that separates a cache (stacked DRAM invisible) from
+ * TLM/CAMEO (visible), and therefore drives the page-fault behaviour of
+ * Capacity-Limited workloads.
  *
  * Requesters enter through submit(), the transaction front door
  * (DESIGN.md §9): it wraps the access() timing model in a
@@ -131,6 +132,20 @@ struct OrgConfig
     const char *validate() const;
 };
 
+/**
+ * The DRAM modules one organization kind is built over. Every kind
+ * uses the config's off-chip timings; the kinds differ in the stacked
+ * timing map (the Alloy family's 28 TADs and CAMEO CoLocated's 31
+ * LEADs per row) and in the module sizes (the Embedded LLT reserve,
+ * DoubleUse's larger backing store).
+ */
+struct DramLayout
+{
+    DramTimings stacked;
+    std::uint64_t stackedBytes = 0; ///< 0: no stacked module (Baseline).
+    std::uint64_t offchipBytes = 0;
+};
+
 /** Base class for all stacked-DRAM usage models. */
 class MemoryOrganization : public Checkpointable
 {
@@ -177,7 +192,7 @@ class MemoryOrganization : public Checkpointable
      * so functional- and detailed-warmup runs enter the measured
      * region with identical timing state.
      */
-    virtual void resetTiming();
+    void resetTiming();
 
     /**
      * Submit one transaction to the memory pipeline. Timing comes from
@@ -224,16 +239,22 @@ class MemoryOrganization : public Checkpointable
     /** OS-visible memory capacity in bytes (whole pages). */
     virtual std::uint64_t visibleBytes() const = 0;
 
-    /** Register the organization's statistics. */
-    virtual void registerStats(StatRegistry &registry) = 0;
+    /**
+     * Register the DRAM modules' statistics (stacked first), then the
+     * organization's own (registerOwnStats()).
+     */
+    void registerStats(StatRegistry &registry);
 
     /** Stacked module, if this organization has one. */
-    virtual DramModule *stackedModule() { return nullptr; }
-    virtual const DramModule *stackedModule() const { return nullptr; }
+    DramModule *stackedModule() { return stacked_ ? &*stacked_ : nullptr; }
+    const DramModule *stackedModule() const
+    {
+        return stacked_ ? &*stacked_ : nullptr;
+    }
 
     /** Off-chip module (every organization has one). */
-    virtual DramModule &offchipModule() = 0;
-    virtual const DramModule &offchipModule() const = 0;
+    DramModule &offchipModule() { return offchip_; }
+    const DramModule &offchipModule() const { return offchip_; }
 
     /**
      * Hook: a virtual page became resident in @p frame. TLM-Oracle uses
@@ -283,7 +304,15 @@ class MemoryOrganization : public Checkpointable
     const std::string &name() const { return name_; }
 
   protected:
-    explicit MemoryOrganization(std::string name) : name_(std::move(name)) {}
+    /**
+     * Build the modules of @p dram: "dram.offchip" with the config's
+     * off-chip timings and, when @p dram has stacked bytes,
+     * "dram.stacked". Both adopt @p config's timing mode and queue
+     * geometry here, before anything registers stats (queued-only
+     * DRAM statistics register conditionally on the mode).
+     */
+    MemoryOrganization(std::string name, const OrgConfig &config,
+                       const DramLayout &dram);
 
     /**
      * The organization's one access path, shared by both fidelities:
@@ -300,15 +329,12 @@ class MemoryOrganization : public Checkpointable
     virtual Tick serve(Tick now, LineAddr line, bool is_write, InstAddr pc,
                        std::uint32_t core, Fidelity fidelity) = 0;
 
-    /**
-     * Adopt @p config's timing mode: stores it and pushes the mode and
-     * queue geometry into this organization's DRAM modules. Concrete
-     * organizations call this at the end of their constructor bodies
-     * (after the modules exist and the virtual module accessors
-     * resolve), and before System registers stats — queued-only DRAM
-     * statistics register conditionally on the mode.
-     */
-    void applyTimingConfig(const OrgConfig &config);
+    /** Register the organization's own statistics (default: none). */
+    virtual void registerOwnStats(StatRegistry &registry);
+
+    /** Stacked module, held in place; empty for Baseline. */
+    std::optional<DramModule> stacked_;
+    DramModule offchip_;
 
   private:
     /** A submitted request whose completion has not been delivered. */
@@ -339,7 +365,7 @@ class MemoryOrganization : public Checkpointable
     std::vector<std::uint32_t> inflightById() const;
 
     std::string name_;
-    TimingMode timingMode_ = TimingMode::Blocking;
+    TimingMode timingMode_;
     EventQueue *events_ = nullptr;
     std::uint64_t lastRequestId_ = 0;
 

@@ -9,7 +9,7 @@
  * or single-touch pages stop churning the stacked slots. This policy
  * is a line-level admission filter, not a page mover, so it plugs into
  * CameoController::setSwapFilter rather than the ComposedOrg page
- * path.
+ * path, and is a plain Checkpointable part of its host org.
  */
 
 #ifndef CAMEO_ORGS_POLICY_FREQ_ADMISSION_PLACEMENT_HH
@@ -18,13 +18,16 @@
 #include <cstdint>
 #include <vector>
 
-#include "orgs/policy/placement_policy.hh"
+#include "snapshot/snapshot.hh"
+#include "stats/counter.hh"
+#include "stats/registry.hh"
+#include "util/types.hh"
 
 namespace cameo
 {
 
 /** Epoch-decayed hot-page filter for CAMEO swap admission. */
-class FreqAdmissionPlacement final : public PlacementPolicy
+class FreqAdmissionPlacement final : public Checkpointable
 {
   public:
     /** Page touches within the decay window required to admit swaps. */
@@ -33,9 +36,7 @@ class FreqAdmissionPlacement final : public PlacementPolicy
     FreqAdmissionPlacement(std::uint64_t total_pages,
                            std::uint64_t epoch_accesses);
 
-    const char *policyName() const override { return "freq-admission"; }
-
-    void registerStats(StatRegistry &registry) override;
+    void registerStats(StatRegistry &registry);
 
     const Counter &hotPages() const { return hotPages_; }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * MappingPolicy base defaults and the stateless IdentityMapping.
+ * PageMappingPolicy defaults and the stateless IdentityMapping.
  */
 
 #include "orgs/policy/mapping_policy.hh"
@@ -10,10 +10,10 @@
 namespace cameo
 {
 
-MappingPolicy::~MappingPolicy() = default;
+PageMappingPolicy::~PageMappingPolicy() = default;
 
 void
-MappingPolicy::registerStats(StatRegistry &registry)
+PageMappingPolicy::registerStats(StatRegistry &registry)
 {
     (void)registry;
 }

@@ -1,14 +1,15 @@
 /**
  * @file
- * MappingPolicy: the composable answer to "which device page/row holds
- * OS-physical line X" (DESIGN.md §14).
+ * PageMappingPolicy: the composable answer to "which device page holds
+ * OS-physical page X" (DESIGN.md §14).
  *
  * A ComposedOrg pairs one mapping policy with one placement policy.
- * The mapping owns the translation state (page tables, tag arrays, LLT
- * permutations) and is independently Checkpointable; the functional-
- * fidelity contract (DESIGN.md §13) holds per-policy: beginAccess()
- * updates mapping state identically at both fidelities and only bills
- * DRAM traffic (metadata walks) when the fidelity is Detailed.
+ * The mapping owns the translation state (a page permutation, the
+ * Banshee PTE cache) and is independently Checkpointable; the
+ * functional-fidelity contract (DESIGN.md §13) holds per-policy:
+ * beginAccess() updates mapping state identically at both fidelities
+ * and only bills DRAM traffic (metadata walks) when the fidelity is
+ * Detailed.
  */
 
 #ifndef CAMEO_ORGS_POLICY_MAPPING_POLICY_HH
@@ -25,30 +26,25 @@
 namespace cameo
 {
 
-/** Base of every composable mapping policy. */
-class MappingPolicy : public Checkpointable
+/**
+ * Page-granular mapping: a bijection between OS-physical pages and
+ * device pages (device pages < stackedPages live in stacked DRAM).
+ */
+class PageMappingPolicy : public Checkpointable
 {
   public:
-    ~MappingPolicy() override;
+    ~PageMappingPolicy() override;
 
-    MappingPolicy() = default;
-    MappingPolicy(const MappingPolicy &) = delete;
-    MappingPolicy &operator=(const MappingPolicy &) = delete;
+    PageMappingPolicy() = default;
+    PageMappingPolicy(const PageMappingPolicy &) = delete;
+    PageMappingPolicy &operator=(const PageMappingPolicy &) = delete;
 
     /** Stable policy name (the composition table in DESIGN.md §14). */
     virtual const char *policyName() const = 0;
 
     /** Register policy-owned statistics (default: none). */
     virtual void registerStats(StatRegistry &registry);
-};
 
-/**
- * Page-granular mapping: a bijection between OS-physical pages and
- * device pages (device pages < stackedPages live in stacked DRAM).
- */
-class PageMappingPolicy : public MappingPolicy
-{
-  public:
     /** Device page currently holding OS-physical @p phys_page. */
     virtual std::uint64_t devicePageOf(PageAddr phys_page) const = 0;
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * PlacementPolicy base defaults and the stateless StaticPlacement.
+ * PagePlacementPolicy defaults and the stateless StaticPlacement.
  */
 
 #include "orgs/policy/placement_policy.hh"
@@ -8,10 +8,10 @@
 namespace cameo
 {
 
-PlacementPolicy::~PlacementPolicy() = default;
+PagePlacementPolicy::~PagePlacementPolicy() = default;
 
 void
-PlacementPolicy::registerStats(StatRegistry &registry)
+PagePlacementPolicy::registerStats(StatRegistry &registry)
 {
     (void)registry;
 }
@@ -54,18 +54,6 @@ StaticPlacement::save(SnapshotWriter &w) const
 
 void
 StaticPlacement::restore(SnapshotReader &r)
-{
-    (void)r;
-}
-
-void
-MruSwapPlacement::save(SnapshotWriter &w) const
-{
-    (void)w;
-}
-
-void
-MruSwapPlacement::restore(SnapshotReader &r)
 {
     (void)r;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * PlacementPolicy: the composable answer to "should this access
- * trigger a migration/swap, and of what victim" (DESIGN.md §14).
+ * PagePlacementPolicy: the composable answer to "should this access
+ * trigger a page migration, and of what victim" (DESIGN.md §14).
  *
  * A page placement policy observes every routed access through
  * onAccess() and drives migrations through the PlacementContext its
@@ -60,27 +60,22 @@ class PlacementContext
     ~PlacementContext() = default;
 };
 
-/** Base of every composable placement policy. */
-class PlacementPolicy : public Checkpointable
+/** Page-granular placement driven by the ComposedOrg access path. */
+class PagePlacementPolicy : public Checkpointable
 {
   public:
-    ~PlacementPolicy() override;
+    ~PagePlacementPolicy() override;
 
-    PlacementPolicy() = default;
-    PlacementPolicy(const PlacementPolicy &) = delete;
-    PlacementPolicy &operator=(const PlacementPolicy &) = delete;
+    PagePlacementPolicy() = default;
+    PagePlacementPolicy(const PagePlacementPolicy &) = delete;
+    PagePlacementPolicy &operator=(const PagePlacementPolicy &) = delete;
 
     /** Stable policy name (the composition table in DESIGN.md §14). */
     virtual const char *policyName() const = 0;
 
     /** Register policy-owned statistics (default: none). */
     virtual void registerStats(StatRegistry &registry);
-};
 
-/** Page-granular placement driven by the ComposedOrg access path. */
-class PagePlacementPolicy : public PlacementPolicy
-{
-  public:
     /**
      * One demand access was routed to @p device_page. The policy may
      * update recency/frequency state and perform swaps through @p ctx.
@@ -112,24 +107,6 @@ class StaticPlacement final : public PagePlacementPolicy
     void onAccess(PlacementContext &ctx, Tick when, PageAddr phys_page,
                   std::uint64_t device_page, bool is_write,
                   Fidelity fidelity) override;
-
-    /** Stateless: nothing to checkpoint. */
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
-};
-
-/**
- * MRU-swap placement: stock CAMEO's policy — every off-chip access
- * swaps the fetched line with the current stacked resident of its
- * congruence group. The swap machinery itself lives in
- * CameoController's hot path (line granularity, LLT-coupled); this
- * class is the stateless, checkpointable identity of that policy in
- * the composition table.
- */
-class MruSwapPlacement final : public PlacementPolicy
-{
-  public:
-    const char *policyName() const override { return "mru-swap"; }
 
     /** Stateless: nothing to checkpoint. */
     void save(SnapshotWriter &w) const override;

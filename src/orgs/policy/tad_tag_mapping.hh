@@ -1,10 +1,11 @@
 /**
  * @file
- * Direct-mapped TAD tag mapping, extracted from AlloyCacheOrg.
+ * Direct-mapped TAD tag array, the checkpointable part of
+ * AlloyCacheOrg.
  *
  * The Alloy cache's translation state is its tag array: one TAD (Tag
  * And Data) entry per direct-mapped set, tag co-located with the data
- * in the stacked row. This policy owns that array — lookup, install,
+ * in the stacked row. This class owns that array — lookup, install,
  * and victim bookkeeping — while the org keeps the access-path timing
  * (TAD bursts, MAP-I predictor, parallel fetch) that gives Alloy its
  * latency character.
@@ -16,13 +17,14 @@
 #include <cstdint>
 #include <vector>
 
-#include "orgs/policy/mapping_policy.hh"
+#include "snapshot/snapshot.hh"
+#include "util/types.hh"
 
 namespace cameo
 {
 
 /** Direct-mapped tag array with per-set valid/dirty state. */
-class TadTagMapping final : public MappingPolicy
+class TadTagMapping final : public Checkpointable
 {
   public:
     /** One direct-mapped set: the resident line's tag and state. */
@@ -34,8 +36,6 @@ class TadTagMapping final : public MappingPolicy
     };
 
     explicit TadTagMapping(std::uint64_t num_sets);
-
-    const char *policyName() const override { return "tad-tags"; }
 
     std::uint64_t numSets() const { return numSets_; }
 

@@ -28,6 +28,7 @@ sys.path.insert(0, str(REPO / "tools"))
 from analyze.cli import main as cli_main  # noqa: E402
 from analyze.model import Repo, apply_suppressions  # noqa: E402
 from analyze.passes import ALL_PASSES, pass_names  # noqa: E402
+from analyze.passes.stats_schema import extract_schema  # noqa: E402
 
 FIXTURE = REPO / "tests" / "analyze_fixtures" / "badrepo"
 GOLDEN_SARIF = REPO / "tests" / "analyze_fixtures" / "expected.sarif"
@@ -98,6 +99,16 @@ class FixtureFindingsTest(unittest.TestCase):
         ]
         self.assertEqual(len(msgs), 1)
         self.assertIn("src/core/clocky.hh -> <chrono>", msgs[0])
+
+    def test_dram_pipeline_matches_member_and_optional_spellings(self):
+        # offchip_.request( on line 12 and stacked_->access( on line 18.
+        lines = sorted(
+            f.line
+            for f in self.active
+            if f.rule == "conventions/dram-pipeline"
+            and f.path == "src/core/controller.cc"
+        )
+        self.assertEqual(lines, [12, 18])
 
     def test_justified_suppression_suppresses(self):
         self.assertEqual(
@@ -209,6 +220,12 @@ class BaselineTest(unittest.TestCase):
 
 
 class RealRepoTest(unittest.TestCase):
+    def test_schema_sees_both_dram_modules(self):
+        # The stacked module is built in place (std::optional::emplace);
+        # its stat prefix must still count as registered.
+        schema = extract_schema(Repo.load(REPO))
+        self.assertLessEqual({"dram.offchip", "dram.stacked"}, schema.full)
+
     def test_repository_analyzes_clean(self):
         code, out, err = run_cli([str(REPO)])
         self.assertEqual(

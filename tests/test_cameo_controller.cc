@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/cameo_controller.hh"
 #include "dram/dram_module.hh"
@@ -244,6 +246,53 @@ TEST(CameoControllerTest, EmbeddedLltLookupsCounted)
               f.ctrl->groups().numGroups());
     // Each demand access consulted the embedded table once.
     EXPECT_EQ(f.stacked->reads().value(), 4u); // 2 LLT + 2 data
+}
+
+TEST(CameoControllerTest, LltMatchesReferencePermutationModel)
+{
+    // A random read/write stream over a few congruence groups, checked
+    // against a shadow permutation: per group, the location of each
+    // slot (slot s starts at location s; location 0 is stacked).
+    ControllerFixture f(LltKind::Ideal);
+    const CongruenceGroups &groups = f.ctrl->groups();
+    const std::uint32_t k = groups.groupSize();
+    ASSERT_EQ(k, 4u);
+    constexpr std::uint64_t kHotGroups = 64;
+    std::vector<std::vector<std::uint32_t>> loc(
+        kHotGroups, std::vector<std::uint32_t>(k));
+    for (auto &g : loc)
+        for (std::uint32_t s = 0; s < k; ++s)
+            g[s] = s;
+
+    Rng rng(99);
+    for (int i = 0; i < 4000; ++i) {
+        const std::uint64_t group = rng.next(kHotGroups);
+        const auto slot = static_cast<std::uint32_t>(rng.next(k));
+        const bool is_write = rng.chance(0.3);
+        f.ctrl->access(0, groups.lineOf(group, slot), is_write, 0x400, 0,
+                       Fidelity::Functional);
+        if (!is_write) {
+            // A read of an off-chip line swaps it into location 0 and
+            // the previous stacked resident into its old location.
+            for (std::uint32_t s = 0; s < k; ++s) {
+                if (loc[group][s] == 0) {
+                    std::swap(loc[group][s], loc[group][slot]);
+                    break;
+                }
+            }
+            ASSERT_EQ(f.ctrl->llt().locationOf(group, slot), 0u);
+        }
+        // Writebacks update in place: the permutation is unchanged.
+        const std::uint64_t pg = rng.next(kHotGroups);
+        const auto ps = static_cast<std::uint32_t>(rng.next(k));
+        ASSERT_EQ(f.ctrl->llt().locationOf(pg, ps), loc[pg][ps])
+            << "group " << pg << " slot " << ps << " after access " << i;
+    }
+    for (std::uint64_t g = 0; g < kHotGroups; ++g)
+        for (std::uint32_t s = 0; s < k; ++s)
+            EXPECT_EQ(f.ctrl->llt().locationOf(g, s), loc[g][s]);
+    EXPECT_GT(f.ctrl->swaps().value(), 0u);
+    EXPECT_EQ(f.stacked->reads().value() + f.offchip->reads().value(), 0u);
 }
 
 TEST(CameoControllerTest, ManyRandomAccessesKeepInvariants)

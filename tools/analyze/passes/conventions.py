@@ -84,11 +84,12 @@ DRAM_PIPELINE_DIRS = ("src/orgs", "src/core", "src/system")
 DRAM_ACCESS_ALLOWLIST: set[str] = set()
 
 # DRAM modules are uniformly named stacked_/offchip_ (offchip when
-# passed by reference) or reached via the stackedModule()/
+# passed by reference; MemoryOrganization holds stacked_ in a
+# std::optional, reached with ->) or reached via the stackedModule()/
 # offchipModule() accessors; match .access( or .request( on any of
 # those spellings.
 DRAM_ACCESS_RE = re.compile(
-    r"(?:(?<!\w)(?:stacked_|offchip_|offchip)\s*\."
+    r"(?:(?<!\w)(?:stacked_|offchip_|offchip)\s*(?:\.|->)"
     r"|stackedModule\(\)\s*->|offchipModule\(\)\s*\.)"
     r"\s*(?:access|request)\s*\("
 )

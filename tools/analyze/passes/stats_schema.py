@@ -17,7 +17,8 @@ analysis instead of silently orphaning goldens:
                                     is not registered anywhere
 
 Schema extraction is lexical.  Full names come from string literals in
-construction position (``swaps_("cameo.swaps", ...)``); composed names
+construction position (``swaps_("cameo.swaps", ...)``, or in place:
+``stacked_.emplace("dram.stacked", ...)``); composed names
 (``name_ + ".hits"``) contribute a base ("l3") and a suffix (".hits")
 that citations may combine.
 """
@@ -48,7 +49,7 @@ _BASE_NAME_RE = re.compile(r"^[a-z][a-z0-9]*$")
 _SUFFIX_RE = re.compile(r"^\.[a-zA-Z][A-Za-z0-9]*$")
 _DOC_CITE_RE = re.compile(r"`([A-Za-z0-9_.]+)`")
 _CTOR_IDENTS = {"Counter", "Distribution", "makeCounter",
-                "makeDistribution"}
+                "makeDistribution", "emplace"}
 _LOOKUP_IDENTS = {"findCounter", "findDistribution"}
 _FILE_EXTENSIONS = {
     "hh", "cc", "hpp", "cpp", "h", "py", "json", "md", "yml", "yaml",
